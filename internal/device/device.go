@@ -414,31 +414,6 @@ func (d *Device) browseSequential(now time.Duration, actions []string) error {
 	return nil
 }
 
-// ScheduleHeartbeats arranges `count` stream heartbeats every `every`
-// of virtual time on clock, starting one interval from now. Heartbeats
-// ride the streamed transport's Ping; on any other transport (or after
-// a downgrade) the events are no-ops. Virtual-time scheduling keeps
-// liveness probes deterministic — no wall-clock tickers in the stream
-// goroutines.
-func (d *Device) ScheduleHeartbeats(clock *sim.Clock, every time.Duration, count int) {
-	type pinger interface{ Ping(now time.Duration) error }
-	p, ok := d.transport.(pinger)
-	if !ok {
-		return
-	}
-	var schedule func(left int)
-	schedule = func(left int) {
-		if left <= 0 {
-			return
-		}
-		clock.After(every, func() {
-			_ = p.Ping(clock.Now())
-			schedule(left - 1)
-		})
-	}
-	schedule(count)
-}
-
 // InjectRequest models malware asserting a user action with NO backing
 // touch: it asks the module to build a signed request directly. The
 // module's touch-authorization gate is what stands in the way.

@@ -106,28 +106,32 @@ func (d *Device) Resync(now time.Duration) error {
 	return nil
 }
 
-// LoginResilient runs the Fig 10 login under the retry policy. Each
-// attempt refetches the login page (its nonce is single-use, so a
-// failed submission can never be replayed verbatim). It returns the
+// retry runs op under the retry policy: network faults back off and
+// redeliver, anything else ends the loop at once. It returns the
 // virtual time after all waiting, so callers keep their clock aligned
-// with the backoff actually spent.
-func (d *Device) LoginResilient(now time.Duration, cert *pki.Certificate, account string) (time.Duration, error) {
-	var lastErr error
+// with the backoff actually spent, and op's last error (nil on
+// success, which also clears degraded mode).
+func (d *Device) retry(now time.Duration, op func(now time.Duration) error) (time.Duration, error) {
 	attempts := d.Retry.attempts()
-	for a := 1; a <= attempts; a++ {
-		err := d.Login(now, cert, account)
+	for a := 1; ; a++ {
+		err := op(now)
 		if err == nil {
 			d.degraded = false
 			return now, nil
 		}
-		lastErr = err
 		if !Retryable(err) || a == attempts {
-			break
+			return now, err
 		}
 		d.tel.retries.Add(1)
 		now += d.Retry.backoff(a, d.retryRNG)
 	}
-	return now, fmt.Errorf("device: login failed after retries: %w", lastErr)
+}
+
+// LoginResilient runs the Fig 10 login under the retry policy. Each
+// attempt refetches the login page (its nonce is single-use, so a
+// failed submission can never be replayed verbatim).
+func (d *Device) LoginResilient(now time.Duration, cert *pki.Certificate, account string) (time.Duration, error) {
+	return d.loginRetry(now, func(now time.Duration) error { return d.Login(now, cert, account) })
 }
 
 // LoginResumeResilient is LoginResilient for the resume-first login:
@@ -137,22 +141,16 @@ func (d *Device) LoginResilient(now time.Duration, cert *pki.Certificate, accoun
 // first in-attempt failure, so later attempts are pure full logins —
 // deterministic, at worst one wasted ticket.
 func (d *Device) LoginResumeResilient(now time.Duration, cert *pki.Certificate, account string) (time.Duration, error) {
-	var lastErr error
-	attempts := d.Retry.attempts()
-	for a := 1; a <= attempts; a++ {
-		err := d.LoginResume(now, cert, account)
-		if err == nil {
-			d.degraded = false
-			return now, nil
-		}
-		lastErr = err
-		if !Retryable(err) || a == attempts {
-			break
-		}
-		d.tel.retries.Add(1)
-		now += d.Retry.backoff(a, d.retryRNG)
+	return d.loginRetry(now, func(now time.Duration) error { return d.LoginResume(now, cert, account) })
+}
+
+// loginRetry is the shared body of the resilient logins.
+func (d *Device) loginRetry(now time.Duration, login func(now time.Duration) error) (time.Duration, error) {
+	now, err := d.retry(now, login)
+	if err != nil {
+		return now, fmt.Errorf("device: login failed after retries: %w", err)
 	}
-	return now, fmt.Errorf("device: login failed after retries: %w", lastErr)
+	return now, nil
 }
 
 // BrowseResilient issues one continuous-auth page request under the
@@ -173,32 +171,18 @@ func (d *Device) BrowseResilient(now time.Duration, action string) (time.Duratio
 	if d.session == nil {
 		return now, errors.New("device: no session")
 	}
-	var lastErr error
-	attempts := d.Retry.attempts()
-	for a := 1; a <= attempts; a++ {
+	now, err := d.retry(now, func(now time.Duration) error {
 		err := d.Browse(now, action)
-		if err == nil {
-			d.degraded = false
-			return now, nil
-		}
 		if errors.Is(err, webserver.ErrBadNonce) {
 			// The only way the device's nonce goes stale mid-session is
 			// a dropped response: the server already served this action.
 			// Resync fetches that page under a fresh nonce.
 			err = d.Resync(now)
-			if err == nil {
-				d.degraded = false
-				return now, nil
-			}
 		}
-		lastErr = err
-		if !Retryable(err) {
-			return now, err
-		}
-		if a < attempts {
-			d.tel.retries.Add(1)
-			now += d.Retry.backoff(a, d.retryRNG)
-		}
+		return err
+	})
+	if err == nil || !Retryable(err) {
+		return now, err
 	}
 	// Retries exhausted on network faults: the server is unreachable.
 	// Fall back to local mode if the module still vouches for the user.
@@ -208,5 +192,5 @@ func (d *Device) BrowseResilient(now time.Duration, action string) (time.Duratio
 		d.tel.degradedEnters.Add(1)
 		return now, nil
 	}
-	return now, fmt.Errorf("device: server unreachable and no local fallback: %w", lastErr)
+	return now, fmt.Errorf("device: server unreachable and no local fallback: %w", err)
 }

@@ -440,8 +440,8 @@ func (t *Stream) SubmitResync(now time.Duration, req *protocol.ResyncRequest) (*
 }
 
 // Ping sends a heartbeat and waits for the server's echo, verifying it
-// round-tripped verbatim. Heartbeat cadence belongs to the caller
-// (virtual-time scheduled; see Device.ScheduleHeartbeats).
+// round-tripped verbatim. Heartbeat cadence belongs to the caller,
+// scheduled on its virtual clock.
 func (t *Stream) Ping(now time.Duration) error {
 	conn, err := t.live()
 	if err != nil {

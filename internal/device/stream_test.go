@@ -444,17 +444,15 @@ func TestStreamConcurrentWritersRace(t *testing.T) {
 	wg.Wait()
 }
 
-// serverMetric reads one named counter from the server's telemetry
-// schema.
+// serverMetric reads one named column from the server's telemetry
+// table.
 func serverMetric(t *testing.T, srv *webserver.Server, name string) int64 {
 	t.Helper()
-	for i, n := range srv.MetricsSchema() {
-		if n == name {
-			return srv.AppendMetrics(nil)[i]
-		}
+	v, ok := srv.Metric(name)
+	if !ok {
+		t.Fatalf("metric %q not in schema", name)
 	}
-	t.Fatalf("metric %q not in schema", name)
-	return 0
+	return v
 }
 
 // TestStreamHeartbeatWarpDetectedAndRecovered drives a backwards

@@ -243,11 +243,12 @@ func TestHistQuantiles(t *testing.T) {
 	// Negative and huge observations clamp, not panic.
 	h.Observe(-time.Second)
 	h.Observe(1 << 62)
-	vals := h.AppendSummary(nil)
+	cols := HistColumns("login", func(h *Hist) *Hist { return h })
+	vals := cols.Append(nil, &h)
 	if len(vals) != 3 || vals[0] != 102 {
 		t.Fatalf("summary %v", vals)
 	}
-	names := SummaryNames(nil, "login")
+	names := cols.Names()
 	if len(names) != 3 || names[1] != "login_p50_ns" {
 		t.Fatalf("summary names %v", names)
 	}

@@ -86,18 +86,3 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	}
 	return bucketUpper(HistBuckets - 1)
 }
-
-// AppendSummary appends the histogram's capture columns — count, p50,
-// p99 (both in nanoseconds) — matching SummaryNames. Zero allocations:
-// it only appends to the caller's slice.
-func (h *Hist) AppendSummary(vals []int64) []int64 {
-	vals = append(vals, h.Count())
-	vals = append(vals, int64(h.Quantile(0.50)))
-	return append(vals, int64(h.Quantile(0.99)))
-}
-
-// SummaryNames appends the column names matching AppendSummary, each
-// prefixed with the metric's name.
-func SummaryNames(names []string, prefix string) []string {
-	return append(names, prefix+"_count", prefix+"_p50_ns", prefix+"_p99_ns")
-}

@@ -113,6 +113,12 @@ func decodeSchema(p []byte) ([]string, error) {
 		return nil, fmt.Errorf("%w: bad schema count", ErrCorrupt)
 	}
 	p = p[k:]
+	// Every name costs at least its length byte, so a count beyond the
+	// remaining input is corrupt — and must be refused before it sizes
+	// an allocation.
+	if n > uint64(len(p)) {
+		return nil, fmt.Errorf("%w: schema count %d exceeds chunk", ErrCorrupt, n)
+	}
 	names := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
 		l, k := binary.Uvarint(p)
@@ -134,8 +140,13 @@ func decodeRows(d *Data, p []byte) error {
 		return fmt.Errorf("%w: bad row count", ErrCorrupt)
 	}
 	p = p[k:]
-	var prev []int64
-	row := make([]int64, 1+len(d.Cols))
+	// Size the row buffer only for a chunk that carries rows: a decoded
+	// row consumes at least one byte per column, but an empty chunk
+	// behind a wide schema would otherwise allocate a row for free.
+	var prev, row []int64
+	if nrows > 0 {
+		row = make([]int64, 1+len(d.Cols))
+	}
 	for r := uint64(0); r < nrows; r++ {
 		for c := range row {
 			v, k := binary.Varint(p)

@@ -34,7 +34,6 @@ type FaultFS struct {
 	// budget-exhausting write was torn, every write after it fails.
 	tripped    bool
 	tornWrites int
-	failedOps  int
 }
 
 // NewFaultFS wraps inner with the given budgets (negative = unlimited).
@@ -48,13 +47,6 @@ func (f *FaultFS) TornWrites() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.tornWrites
-}
-
-// FailedOps reports how many writes/syncs were failed outright.
-func (f *FaultFS) FailedOps() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.failedOps
 }
 
 func (f *FaultFS) OpenRead(name string) (File, error) { return f.inner.OpenRead(name) }
@@ -90,7 +82,6 @@ func (h *faultHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	switch {
 	case h.fs.tripped:
-		h.fs.failedOps++
 		h.fs.mu.Unlock()
 		return 0, errors.Join(ErrInjected, errors.New("write failed"))
 	case h.fs.writeBudget < 0:
@@ -110,7 +101,6 @@ func (h *faultHandle) Write(p []byte) (int, error) {
 		return n, errors.Join(ErrInjected, errors.New("torn write"))
 	default:
 		h.fs.tripped = true
-		h.fs.failedOps++
 		h.fs.mu.Unlock()
 		return 0, errors.Join(ErrInjected, errors.New("write failed"))
 	}
@@ -127,7 +117,6 @@ func (h *faultHandle) Sync() error {
 		h.fs.mu.Unlock()
 		return h.inner.Sync()
 	default:
-		h.fs.failedOps++
 		h.fs.mu.Unlock()
 		return errors.Join(ErrInjected, errors.New("sync failed"))
 	}

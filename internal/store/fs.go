@@ -98,8 +98,7 @@ func (d DirFS) Remove(name string) error {
 // MemFS is the deterministic in-memory FS the crash tests run over. It
 // tracks, per file, how many bytes have been synced: Crash() yields
 // the directory a real machine would find after power loss — every
-// file truncated to its synced length — while TruncateTo cuts a file
-// at an arbitrary byte for the record-boundary crash matrix.
+// file truncated to its synced length.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
@@ -226,23 +225,6 @@ func (m *MemFS) Bytes(name string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), f.data...), true
-}
-
-// TruncateTo cuts a file to n bytes — the crash matrix's knife, placed
-// at every record boundary (and inside records, for torn tails).
-func (m *MemFS) TruncateTo(name string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok {
-		return
-	}
-	if n < len(f.data) {
-		f.data = f.data[:n]
-	}
-	if f.synced > len(f.data) {
-		f.synced = len(f.data)
-	}
 }
 
 // CorruptByte XORs a mask into one byte of a file — the checksum-

@@ -179,54 +179,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /trust/login", func(w http.ResponseWriter, r *http.Request) {
 		writeResponse(w, r, s.ServeLoginPage(requestNow(r)))
 	})
-	mux.HandleFunc("POST /trust/login", func(w http.ResponseWriter, r *http.Request) {
-		sub, ok := decodeBody[protocol.LoginSubmit](w, r)
-		if !ok {
-			return
-		}
-		cp, err := s.HandleLogin(requestNow(r), sub)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResponse(w, r, cp)
-	})
-	mux.HandleFunc("POST /trust/resume", func(w http.ResponseWriter, r *http.Request) {
-		sub, ok := decodeBody[protocol.ResumeSubmit](w, r)
-		if !ok {
-			return
-		}
-		cp, err := s.HandleResume(requestNow(r), sub)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResponse(w, r, cp)
-	})
-	mux.HandleFunc("POST /trust/page", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeBody[protocol.PageRequest](w, r)
-		if !ok {
-			return
-		}
-		cp, err := s.HandlePageRequest(requestNow(r), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResponse(w, r, cp)
-	})
-	mux.HandleFunc("POST /trust/resync", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeBody[protocol.ResyncRequest](w, r)
-		if !ok {
-			return
-		}
-		cp, err := s.HandleResync(requestNow(r), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResponse(w, r, cp)
-	})
+	mux.HandleFunc("POST /trust/login", serveSubmit(s.HandleLogin))
+	mux.HandleFunc("POST /trust/resume", serveSubmit(s.HandleResume))
+	mux.HandleFunc("POST /trust/page", serveSubmit(s.HandlePageRequest))
+	mux.HandleFunc("POST /trust/resync", serveSubmit(s.HandleResync))
 	mux.HandleFunc("GET /trust/audit", func(w http.ResponseWriter, r *http.Request) {
 		report := s.RunAudit()
 		writeResponse(w, r, map[string]any{
@@ -242,6 +198,24 @@ func (s *Server) Handler() http.Handler {
 		mux.ServeHTTP(w, r)
 		s.observeFTDC(requestNow(r))
 	})
+}
+
+// serveSubmit adapts a session handler to an HTTP route: decode the
+// body, run the handler at the request's virtual time, and answer with
+// the content page or the typed rejection.
+func serveSubmit[M any](handle func(time.Duration, *M) (*protocol.ContentPage, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		msg, ok := decodeBody[M](w, r)
+		if !ok {
+			return
+		}
+		cp, err := handle(requestNow(r), msg)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeResponse(w, r, cp)
+	}
 }
 
 // FetchCertificate retrieves a server certificate over HTTP (client

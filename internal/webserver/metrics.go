@@ -3,6 +3,7 @@ package webserver
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,10 +13,12 @@ import (
 
 // telemetry is the server's always-on counter block. Every field is an
 // atomic or an ftdc.Hist (itself atomic), so handlers bump them
-// lock-free on the hot path; the capture side reads them through
-// AppendMetrics. Counters only ever increase — the capture's delta
+// lock-free on the hot path; the capture side reads them through the
+// metrics table. Counters only ever increase — the capture's delta
 // encoding turns a flat counter into a run of zero bytes.
 type telemetry struct {
+	accepted      atomic.Int64 // requests the handlers accepted
+	rejected      atomic.Int64 // requests the handlers rejected; bumped only by reject
 	fullLogins    atomic.Int64 // HandleLogin successes (Fig 10 cold path)
 	resumeLogins  atomic.Int64 // ticket-resume successes (HTTP + stream)
 	degradedTrips atomic.Int64 // 0→1 transitions of the degraded latch
@@ -34,6 +37,14 @@ type telemetry struct {
 	resync ftdc.Hist
 }
 
+// reject is the rejection funnel: every request a handler refuses, on
+// every front, passes through here exactly once on its way back to the
+// caller, so no rejection site can forget the counter.
+func (s *Server) reject(err error) error {
+	s.tel.rejected.Add(1)
+	return err
+}
+
 // tripDegraded latches degraded mode and counts the transition. The
 // CAS makes the trip count exact under concurrent backend failures:
 // of N racing failed appends exactly one observes the 0→1 edge.
@@ -50,62 +61,65 @@ func (s *Server) failStorage() {
 	s.tel.storageErrors.Add(1)
 }
 
-// MetricsSchema returns the server's registered telemetry columns in
-// capture order — the order AppendMetrics emits values. The schema is
-// fixed at build time: columns never appear or vanish at runtime, which
-// is what lets two captures diff metric-by-metric.
-func (s *Server) MetricsSchema() []string {
-	names := []string{
-		"accepted", "rejected",
-		"logins_full", "logins_resume",
-		"degraded", "degraded_trips", "storage_errors",
-		"nonce_evictions", "streams",
-		"hb_clamped", "hb_rejected",
+// metrics is the server's telemetry table (docs/telemetry.md "Schema
+// registry"): MetricsSchema and AppendMetrics are both generated from
+// it. The schema is fixed at build time — columns never appear or
+// vanish at runtime, which is what lets two captures diff
+// metric-by-metric. Add a column as one row at the end of its block.
+var metrics = slices.Concat(
+	ftdc.Table[*Server]{
+		{Name: "accepted", Read: func(s *Server) int64 { return s.tel.accepted.Load() }},
+		{Name: "rejected", Read: func(s *Server) int64 { return s.tel.rejected.Load() }},
+		{Name: "logins_full", Read: func(s *Server) int64 { return s.tel.fullLogins.Load() }},
+		{Name: "logins_resume", Read: func(s *Server) int64 { return s.tel.resumeLogins.Load() }},
+		{Name: "degraded", Read: func(s *Server) int64 {
+			if s.degraded.Load() {
+				return 1
+			}
+			return 0
+		}},
+		{Name: "degraded_trips", Read: func(s *Server) int64 { return s.tel.degradedTrips.Load() }},
+		{Name: "storage_errors", Read: func(s *Server) int64 { return s.tel.storageErrors.Load() }},
+		{Name: "nonce_evictions", Read: func(s *Server) int64 { return s.nonces.evictions.Load() }},
+		{Name: "streams", Read: func(s *Server) int64 { return int64(s.StreamCount()) }},
+		{Name: "hb_clamped", Read: func(s *Server) int64 { return s.tel.hbClamped.Load() }},
+		{Name: "hb_rejected", Read: func(s *Server) int64 { return s.tel.hbRejected.Load() }},
+	},
+	shardColumns("sessions", func(s *Server, i int) int { return s.sessions.shardLen(i) }),
+	shardColumns("accounts", func(s *Server, i int) int { return s.accounts.shardLen(i) }),
+	shardColumns("nonces", func(s *Server, i int) int { return s.nonces.shardLen(i) }),
+	ftdc.HistColumns("enroll", func(s *Server) *ftdc.Hist { return &s.tel.enroll }),
+	ftdc.HistColumns("login", func(s *Server) *ftdc.Hist { return &s.tel.login }),
+	ftdc.HistColumns("resume", func(s *Server) *ftdc.Hist { return &s.tel.resume }),
+	ftdc.HistColumns("page", func(s *Server) *ftdc.Hist { return &s.tel.page }),
+	ftdc.HistColumns("resync", func(s *Server) *ftdc.Hist { return &s.tel.resync }),
+)
+
+// shardColumns returns one per-shard depth column per store shard,
+// named prefix_shard00..15.
+func shardColumns(prefix string, shardLen func(s *Server, i int) int) ftdc.Table[*Server] {
+	cols := make(ftdc.Table[*Server], numShards)
+	for i := range cols {
+		cols[i] = ftdc.Column[*Server]{
+			Name: fmt.Sprintf("%s_shard%02d", prefix, i),
+			Read: func(s *Server) int64 { return int64(shardLen(s, i)) },
+		}
 	}
-	for i := 0; i < numShards; i++ {
-		names = append(names, fmt.Sprintf("sessions_shard%02d", i))
-	}
-	for i := 0; i < numShards; i++ {
-		names = append(names, fmt.Sprintf("accounts_shard%02d", i))
-	}
-	for i := 0; i < numShards; i++ {
-		names = append(names, fmt.Sprintf("nonces_shard%02d", i))
-	}
-	names = ftdc.SummaryNames(names, "enroll")
-	names = ftdc.SummaryNames(names, "login")
-	names = ftdc.SummaryNames(names, "resume")
-	names = ftdc.SummaryNames(names, "page")
-	names = ftdc.SummaryNames(names, "resync")
-	return names
+	return cols
 }
 
+// MetricsSchema returns the server's telemetry columns in capture
+// order — the order AppendMetrics emits values.
+func (s *Server) MetricsSchema() []string { return metrics.Names() }
+
 // AppendMetrics appends one value per MetricsSchema column — the
-// capture's row. It allocates nothing beyond the caller's slice:
-// collectors reuse one scratch slice across samples. Safe to call
-// concurrently with traffic; each column is an independently atomic
-// read (a row is not a single snapshot, which telemetry tolerates).
-func (s *Server) AppendMetrics(vals []int64) []int64 {
-	var degraded int64
-	if s.degraded.Load() {
-		degraded = 1
-	}
-	vals = append(vals,
-		s.accepted.Load(), s.rejected.Load(),
-		s.tel.fullLogins.Load(), s.tel.resumeLogins.Load(),
-		degraded, s.tel.degradedTrips.Load(), s.tel.storageErrors.Load(),
-		s.nonces.evictions.Load(), int64(s.StreamCount()),
-		s.tel.hbClamped.Load(), s.tel.hbRejected.Load(),
-	)
-	vals = s.sessions.appendShardLens(vals)
-	vals = s.accounts.appendShardLens(vals)
-	vals = s.nonces.appendShardLens(vals)
-	vals = s.tel.enroll.AppendSummary(vals)
-	vals = s.tel.login.AppendSummary(vals)
-	vals = s.tel.resume.AppendSummary(vals)
-	vals = s.tel.page.AppendSummary(vals)
-	vals = s.tel.resync.AppendSummary(vals)
-	return vals
-}
+// capture's row. It allocates nothing beyond the caller's slice, and
+// is safe to call concurrently with traffic.
+func (s *Server) AppendMetrics(vals []int64) []int64 { return metrics.Append(vals, s) }
+
+// Metric reads one named telemetry column, reporting false when the
+// schema has no such column.
+func (s *Server) Metric(name string) (int64, bool) { return metrics.Value(s, name) }
 
 // ftdcState is the server's optional self-capture: when enabled, every
 // every-th HTTP request samples AppendMetrics at that request's virtual

@@ -1,8 +1,6 @@
 package webserver
 
 import (
-	"fmt"
-
 	"trust/internal/frame"
 	"trust/internal/geom"
 )
@@ -83,8 +81,6 @@ func (s *Server) HomeURL() string { return s.homeURL }
 
 // page looks up a served page by URL.
 func (s *Server) page(url string) *frame.Page {
-	s.pagesMu.RLock()
-	defer s.pagesMu.RUnlock()
 	return s.pages[url]
 }
 
@@ -101,15 +97,4 @@ func (s *Server) PageForAction(action string) *frame.Page {
 	default:
 		return s.page(s.homeURL)
 	}
-}
-
-// AddPage installs a custom page (examples build richer sites).
-func (s *Server) AddPage(p *frame.Page) error {
-	if p == nil || p.URL == "" {
-		return fmt.Errorf("webserver: invalid page")
-	}
-	s.pagesMu.Lock()
-	s.pages[p.URL] = p
-	s.pagesMu.Unlock()
-	return nil
 }

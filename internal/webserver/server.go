@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,8 +151,9 @@ type Server struct {
 	// epoch-rotated keys; immutable after New, internally lock-free.
 	tickets *pki.TicketKeys
 
-	pagesMu  sync.RWMutex
-	pages    map[string]*frame.Page // served pages by URL
+	// pages holds the served pages by URL. It is filled once in New
+	// and read-only afterwards, so reads take no lock.
+	pages    map[string]*frame.Page
 	homeURL  string
 	loginURL string
 	regURL   string
@@ -170,14 +172,8 @@ type Server struct {
 	// login within the budget. Set it before serving traffic.
 	MaxLoginFailures int
 
-	// Counters for the experiment harness (atomics: every handler
-	// bumps one, concurrently under net/http).
-	rejected atomic.Int64
-	accepted atomic.Int64
-
-	// tel is the rest of the always-on telemetry block (metrics.go);
-	// ftdc, when set by EnableFTDC, is the server's request-driven
-	// self-capture.
+	// tel is the always-on telemetry block (metrics.go); ftdc, when
+	// set by EnableFTDC, is the server's request-driven self-capture.
 	tel  telemetry
 	ftdc atomic.Pointer[ftdcState]
 }
@@ -268,13 +264,7 @@ func (s *Server) Account(id string) (*Account, bool) {
 
 // Pages returns the served pages keyed by URL (the audit input).
 func (s *Server) Pages() map[string]*frame.Page {
-	s.pagesMu.RLock()
-	defer s.pagesMu.RUnlock()
-	out := make(map[string]*frame.Page, len(s.pages))
-	for k, v := range s.pages {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.pages)
 }
 
 // AuditLog returns the accumulated frame-hash log.
@@ -287,10 +277,10 @@ func (s *Server) RunAudit() frame.AuditReport {
 }
 
 // AcceptedRequests reports how many requests the handlers accepted.
-func (s *Server) AcceptedRequests() int { return int(s.accepted.Load()) }
+func (s *Server) AcceptedRequests() int { return int(s.tel.accepted.Load()) }
 
 // RejectedRequests reports how many requests the handlers rejected.
-func (s *Server) RejectedRequests() int { return int(s.rejected.Load()) }
+func (s *Server) RejectedRequests() int { return int(s.tel.rejected.Load()) }
 
 // NonceCount reports the live (issued, unconsumed, unexpired-at-issue)
 // nonce count — bounded by the store's capacity.

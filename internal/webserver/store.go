@@ -77,25 +77,18 @@ func (st *sessionStore) put(s *session) {
 func (st *sessionStore) len() int {
 	n := 0
 	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
+		n += st.shardLen(i)
 	}
 	return n
 }
 
-// appendShardLens appends each shard's live-session count — the
-// telemetry capture's per-shard depth columns (metrics.go).
-func (st *sessionStore) appendShardLens(out []int64) []int64 {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n := len(sh.m)
-		sh.mu.RUnlock()
-		out = append(out, int64(n))
-	}
-	return out
+// shardLen reports shard i's live-session count — the telemetry
+// capture's per-shard depth columns (metrics.go).
+func (st *sessionStore) shardLen(i int) int {
+	sh := &st.shards[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return len(sh.m)
 }
 
 // forEach visits every live session. The visit callback runs with the
@@ -282,28 +275,13 @@ func (st *accountStore) clearFailures(id string) {
 	sh.mu.Unlock()
 }
 
-func (st *accountStore) len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.accounts)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// appendShardLens appends each shard's bound-account count for the
-// telemetry capture.
-func (st *accountStore) appendShardLens(out []int64) []int64 {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n := len(sh.accounts)
-		sh.mu.RUnlock()
-		out = append(out, int64(n))
-	}
-	return out
+// shardLen reports shard i's bound-account count for the telemetry
+// capture.
+func (st *accountStore) shardLen(i int) int {
+	sh := &st.shards[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return len(sh.accounts)
 }
 
 // Nonce lifetime bounds. Issued-but-abandoned nonces used to
@@ -395,25 +373,18 @@ func (st *nonceStore) consumeAge(n protocol.Nonce, now time.Duration) (time.Dura
 func (st *nonceStore) len() int {
 	n := 0
 	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
+		n += st.shardLen(i)
 	}
 	return n
 }
 
-// appendShardLens appends each shard's live-nonce count for the
-// telemetry capture.
-func (st *nonceStore) appendShardLens(out []int64) []int64 {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n := len(sh.m)
-		sh.mu.Unlock()
-		out = append(out, int64(n))
-	}
-	return out
+// shardLen reports shard i's live-nonce count for the telemetry
+// capture.
+func (st *nonceStore) shardLen(i int) int {
+	sh := &st.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.m)
 }
 
 // evict drops queue-front entries that are stale (already consumed),

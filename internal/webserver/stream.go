@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"trust/internal/frame"
 	"trust/internal/pki"
 	"trust/internal/protocol"
 )
@@ -131,17 +130,12 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, "malformed", fmt.Sprintf("hello frame carries %T", msg)))
 			return fmt.Errorf("%w: hello frame carries %T", ErrMalformed, msg)
 		}
-		conn, welcome, herr := s.acceptStreamHello(rwc, hello)
+		conn, herr := s.acceptStreamHello(rwc, hello)
 		if herr != nil {
-			s.rejected.Add(1)
 			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, wireCode(herr), herr.Error()))
 			return herr
 		}
-		wp, err := protocol.EncodeBinary(welcome)
-		if err != nil {
-			return err
-		}
-		if opening, err = protocol.AppendFrame(opening, protocol.FrameWelcome, wp); err != nil {
+		if opening, err = conn.appendWelcome(opening); err != nil {
 			return err
 		}
 		sc = conn
@@ -151,17 +145,12 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error()))
 			return err
 		}
-		conn, welcome, cp, herr := s.acceptStreamResume(rwc, rnow, sub)
+		conn, cp, herr := s.acceptStreamResume(rwc, rnow, sub)
 		if herr != nil {
-			// verifyResume already counted the rejection.
 			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(seq, wireCode(herr), herr.Error()))
 			return herr
 		}
-		wp, err := protocol.EncodeBinary(welcome)
-		if err != nil {
-			return err
-		}
-		if opening, err = protocol.AppendFrame(opening, protocol.FrameWelcome, wp); err != nil {
+		if opening, err = conn.appendWelcome(opening); err != nil {
 			return err
 		}
 		// The resumed session's first content page (nonce chain head,
@@ -308,42 +297,26 @@ func (sc *streamConn) handleBatch(tb *protocol.TouchBatch) error {
 
 // acceptStreamHello validates a hello against the session store and
 // resets the session's nonce to the head of a fresh per-connection
-// chain. The single entropy draw here (the seed) is the only one the
-// whole stream will ever make.
-func (s *Server) acceptStreamHello(rwc io.ReadWriteCloser, h *protocol.StreamHello) (*streamConn, *protocol.StreamWelcome, error) {
+// chain.
+func (s *Server) acceptStreamHello(rwc io.ReadWriteCloser, h *protocol.StreamHello) (*streamConn, error) {
 	if h == nil || h.Domain != s.domain {
-		return nil, nil, fmt.Errorf("%w: stream hello", ErrMalformed)
+		return nil, s.reject(fmt.Errorf("%w: stream hello", ErrMalformed))
 	}
 	sess, ok := s.sessions.get(h.SessionID)
 	if !ok || sess.account != h.Account {
-		return nil, nil, ErrUnknownSession
+		return nil, s.reject(ErrUnknownSession)
 	}
 	if !pki.CheckMAC(sess.key, h.MACBytes(), h.MAC) {
-		return nil, nil, ErrBadMAC
+		return nil, s.reject(ErrBadMAC)
 	}
-	seed := make([]byte, 16)
 	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	if sess.revoked {
-		sess.mu.Unlock()
-		return nil, nil, ErrUnknownSession
+		return nil, s.reject(ErrUnknownSession)
 	}
-	s.entropyMu.Lock()
-	s.entropy.Read(seed)
-	s.entropyMu.Unlock()
-	chain := protocol.NewNonceChain(sess.key, seed)
-	sess.lastNonce = chain.At(0)
-	sess.mu.Unlock()
-
-	p := s.riskPolicy()
-	welcome := &protocol.StreamWelcome{
-		Domain:      s.domain,
-		SessionID:   sess.id,
-		NonceSeed:   seed,
-		Window:      p.Window,
-		MinVerified: p.MinVerified,
-	}
-	welcome.MAC = pki.MAC(sess.key, welcome.MACBytes())
-	return &streamConn{s: s, rwc: rwc, sess: sess, seed: seed, chain: chain}, welcome, nil
+	sc := s.newStreamConn(rwc, sess)
+	sess.lastNonce = sc.chain.At(0)
+	return sc, nil
 }
 
 // acceptStreamResume is the stream-first resume handshake: verify the
@@ -351,36 +324,47 @@ func (s *Server) acceptStreamHello(rwc io.ReadWriteCloser, h *protocol.StreamHel
 // verifyResume core), then create the resumed session already bound to
 // a per-connection nonce chain — the session's first nonce is the
 // chain head, so the device starts streaming page requests without any
-// interim HTTP hop. Returns the connection, the MAC'd welcome, and the
-// first content page (carrying the replacement ticket); the caller
-// writes welcome-then-page before registering the stream.
-func (s *Server) acceptStreamResume(rwc io.ReadWriteCloser, now time.Duration, sub *protocol.ResumeSubmit) (*streamConn, *protocol.StreamWelcome, *protocol.ContentPage, error) {
+// interim HTTP hop. Returns the connection and the first content page
+// (carrying the replacement ticket); the caller writes
+// welcome-then-page before registering the stream.
+func (s *Server) acceptStreamResume(rwc io.ReadWriteCloser, now time.Duration, sub *protocol.ResumeSubmit) (*streamConn, *protocol.ContentPage, error) {
 	st, acct, err := s.verifyResume(now, sub)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	sess := &session{id: s.newSessionID(), account: acct.ID}
-	sess.key = protocol.ResumeKey(st.key, sess.id)
+	sess := s.resumedSession(st, acct)
+	sc := s.newStreamConn(rwc, sess)
+	return sc, s.establishSession(now, acct, sess, sub.FrameHash, sc.chain.At(0)), nil
+}
+
+// newStreamConn binds a connection to sess under a fresh nonce-chain
+// seed. The seed is the only entropy draw the whole stream will ever
+// make.
+func (s *Server) newStreamConn(rwc io.ReadWriteCloser, sess *session) *streamConn {
 	seed := make([]byte, 16)
 	s.entropyMu.Lock()
 	s.entropy.Read(seed)
 	s.entropyMu.Unlock()
-	chain := protocol.NewNonceChain(sess.key, seed)
-	cp := s.contentPageTicket(sess, s.PageForAction("login"), chain.At(0), s.issueTicket(now, acct, sess.key))
-	s.sessions.put(sess)
-	s.accounts.clearFailures(acct.ID)
-	s.audit.Append(frame.AuditEntry{Account: acct.ID, PageURL: s.loginURL, Hash: sub.FrameHash, At: now})
-	s.accepted.Add(1)
-	p := s.riskPolicy()
+	return &streamConn{s: s, rwc: rwc, sess: sess, seed: seed, chain: protocol.NewNonceChain(sess.key, seed)}
+}
+
+// appendWelcome appends the connection's framed welcome to out: the
+// nonce seed and the active risk policy, MAC'd under the session key.
+func (sc *streamConn) appendWelcome(out []byte) ([]byte, error) {
+	p := sc.s.riskPolicy()
 	welcome := &protocol.StreamWelcome{
-		Domain:      s.domain,
-		SessionID:   sess.id,
-		NonceSeed:   seed,
+		Domain:      sc.s.domain,
+		SessionID:   sc.sess.id,
+		NonceSeed:   sc.seed,
 		Window:      p.Window,
 		MinVerified: p.MinVerified,
 	}
-	welcome.MAC = pki.MAC(sess.key, welcome.MACBytes())
-	return &streamConn{s: s, rwc: rwc, sess: sess, seed: seed, chain: chain}, welcome, cp, nil
+	welcome.MAC = pki.MAC(sc.sess.key, welcome.MACBytes())
+	wp, err := protocol.EncodeBinary(welcome)
+	if err != nil {
+		return nil, err
+	}
+	return protocol.AppendFrame(out, protocol.FrameWelcome, wp)
 }
 
 // registerStream adds a connection to the policy-push registry.

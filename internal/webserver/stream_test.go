@@ -72,18 +72,15 @@ func expectAck(t *testing.T, conn io.Reader, wantCode string) uint64 {
 	return seq
 }
 
-// metricValue reads one named counter out of the server's telemetry
-// schema (metrics.go); the schema and the value row stay index-aligned
-// by construction.
+// metricValue reads one named column out of the server's telemetry
+// table (metrics.go).
 func metricValue(t *testing.T, s *Server, name string) int64 {
 	t.Helper()
-	for i, n := range s.MetricsSchema() {
-		if n == name {
-			return s.AppendMetrics(nil)[i]
-		}
+	v, ok := metrics.Value(s, name)
+	if !ok {
+		t.Fatalf("metric %q not in schema", name)
 	}
-	t.Fatalf("metric %q not in schema", name)
-	return 0
+	return v
 }
 
 func TestServeStreamBatchHappyPath(t *testing.T) {
