@@ -3,6 +3,7 @@ package device
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -51,10 +52,10 @@ func (t *HTTP) requestURL(path string, now time.Duration, extra url.Values) stri
 	return t.BaseURL + path + "?" + q.Encode()
 }
 
-func (t *HTTP) get(path string, now time.Duration, out any) error {
+func get[M any](t *HTTP, path string, now time.Duration) (*M, error) {
 	req, err := http.NewRequest(http.MethodGet, t.requestURL(path, now, nil), nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if t.Binary {
 		req.Header.Set("Accept", binaryMIME)
@@ -63,10 +64,10 @@ func (t *HTTP) get(path string, now time.Duration, out any) error {
 	if err != nil {
 		// Socket-level failures are the retryable class: the request may
 		// or may not have reached the server (see retry.go).
-		return fmt.Errorf("%w: GET %s: %v", ErrNetwork, path, err)
+		return nil, fmt.Errorf("%w: GET %s: %v", ErrNetwork, path, err)
 	}
 	defer resp.Body.Close()
-	return t.decodeResponse(resp, out)
+	return decodeResponse[M](resp)
 }
 
 // postBody recycles request-body buffers and their readers: the
@@ -83,7 +84,7 @@ type postBody struct {
 
 var postBodyPool = sync.Pool{New: func() any { return new(postBody) }}
 
-func (t *HTTP) post(path string, now time.Duration, extra url.Values, in, out any) error {
+func post[M any](t *HTTP, path string, now time.Duration, extra url.Values, in any) (*M, error) {
 	pb := postBodyPool.Get().(*postBody)
 	defer postBodyPool.Put(pb)
 	contentType := "application/json"
@@ -97,12 +98,12 @@ func (t *HTTP) post(path string, now time.Duration, extra url.Values, in, out an
 		pb.buf = append(pb.buf[:0], body...)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pb.rd.Reset(pb.buf)
 	req, err := http.NewRequest(http.MethodPost, t.requestURL(path, now, extra), &pb.rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
 	if t.Binary {
@@ -110,10 +111,10 @@ func (t *HTTP) post(path string, now time.Duration, extra url.Values, in, out an
 	}
 	resp, err := t.client().Do(req)
 	if err != nil {
-		return fmt.Errorf("%w: POST %s: %v", ErrNetwork, path, err)
+		return nil, fmt.Errorf("%w: POST %s: %v", ErrNetwork, path, err)
 	}
 	defer resp.Body.Close()
-	return t.decodeResponse(resp, out)
+	return decodeResponse[M](resp)
 }
 
 // maxResponseBytes caps how much of a server response the device will
@@ -143,16 +144,21 @@ func readBody(buf *bytes.Buffer, r io.Reader) error {
 	return nil
 }
 
-func (t *HTTP) decodeResponse(resp *http.Response, out any) error {
+// decodeResponse parses a response body as an M. A JSON body is also
+// run through the canonical encoder, mirroring the server's request
+// check: a message the binary form could not carry (an element kind
+// past one byte, say) must not reach a verifier. Non-message bodies
+// (RegistrationResult) have no canonical form and skip the check.
+func decodeResponse[M any](resp *http.Response) (*M, error) {
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		// Round-trip the server's typed rejection so errors.Is sees the
 		// same sentinel either transport would surface (the retry
 		// layer's retryable/terminal split depends on it).
 		if base := webserver.ErrorFromCode(resp.Header.Get(webserver.ErrorHeader)); base != nil {
-			return fmt.Errorf("device: server returned %s: %w", resp.Status, base)
+			return nil, fmt.Errorf("device: server returned %s: %w", resp.Status, base)
 		}
-		return fmt.Errorf("device: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
+		return nil, fmt.Errorf("device: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	// Parse the media type properly: a parameterized
 	// "application/octet-stream; charset=..." must still select the
@@ -162,93 +168,56 @@ func (t *HTTP) decodeResponse(resp *http.Response, out any) error {
 	buf.Reset()
 	defer respBufPool.Put(buf)
 	if err := readBody(buf, resp.Body); err != nil {
-		return err
+		return nil, err
 	}
-	data := buf.Bytes()
 	if ct == binaryMIME {
-		msg, err := protocol.DecodeBinary(data)
-		if err != nil {
-			return err
-		}
-		switch d := out.(type) {
-		case *protocol.RegistrationPage:
-			if m, ok := msg.(*protocol.RegistrationPage); ok {
-				*d = *m
-				return nil
-			}
-		case *protocol.LoginPage:
-			if m, ok := msg.(*protocol.LoginPage); ok {
-				*d = *m
-				return nil
-			}
-		case *protocol.ContentPage:
-			if m, ok := msg.(*protocol.ContentPage); ok {
-				*d = *m
-				return nil
-			}
-		}
-		return fmt.Errorf("device: binary response has unexpected type %T", msg)
+		return protocol.Decode[M](buf.Bytes())
 	}
-	return json.Unmarshal(data, out)
+	m := new(M)
+	if err := json.Unmarshal(buf.Bytes(), m); err != nil {
+		return nil, err
+	}
+	if _, err := protocol.EncodeBinary(m); errors.Is(err, protocol.ErrRange) {
+		return nil, err
+	}
+	return m, nil
 }
 
 // FetchRegistrationPage implements Transport.
 func (t *HTTP) FetchRegistrationPage(now time.Duration) (*protocol.RegistrationPage, error) {
-	var page protocol.RegistrationPage
-	if err := t.get("/trust/register", now, &page); err != nil {
-		return nil, err
-	}
-	return &page, nil
+	return get[protocol.RegistrationPage](t, "/trust/register", now)
 }
 
 // SubmitRegistration implements Transport.
 func (t *HTTP) SubmitRegistration(now time.Duration, sub *protocol.RegistrationSubmit, recovery string) (protocol.RegistrationResult, error) {
-	var res protocol.RegistrationResult
-	err := t.post("/trust/register", now, url.Values{"recovery": {recovery}}, sub, &res)
-	return res, err
+	res, err := post[protocol.RegistrationResult](t, "/trust/register", now, url.Values{"recovery": {recovery}}, sub)
+	if err != nil {
+		return protocol.RegistrationResult{}, err
+	}
+	return *res, nil
 }
 
 // FetchLoginPage implements Transport.
 func (t *HTTP) FetchLoginPage(now time.Duration) (*protocol.LoginPage, error) {
-	var page protocol.LoginPage
-	if err := t.get("/trust/login", now, &page); err != nil {
-		return nil, err
-	}
-	return &page, nil
+	return get[protocol.LoginPage](t, "/trust/login", now)
 }
 
 // SubmitLogin implements Transport.
 func (t *HTTP) SubmitLogin(now time.Duration, sub *protocol.LoginSubmit) (*protocol.ContentPage, error) {
-	var cp protocol.ContentPage
-	if err := t.post("/trust/login", now, nil, sub, &cp); err != nil {
-		return nil, err
-	}
-	return &cp, nil
+	return post[protocol.ContentPage](t, "/trust/login", now, nil, sub)
 }
 
 // SubmitResume implements Transport.
 func (t *HTTP) SubmitResume(now time.Duration, sub *protocol.ResumeSubmit) (*protocol.ContentPage, error) {
-	var cp protocol.ContentPage
-	if err := t.post("/trust/resume", now, nil, sub, &cp); err != nil {
-		return nil, err
-	}
-	return &cp, nil
+	return post[protocol.ContentPage](t, "/trust/resume", now, nil, sub)
 }
 
 // SubmitPageRequest implements Transport.
 func (t *HTTP) SubmitPageRequest(now time.Duration, req *protocol.PageRequest) (*protocol.ContentPage, error) {
-	var cp protocol.ContentPage
-	if err := t.post("/trust/page", now, nil, req, &cp); err != nil {
-		return nil, err
-	}
-	return &cp, nil
+	return post[protocol.ContentPage](t, "/trust/page", now, nil, req)
 }
 
 // SubmitResync implements Transport.
 func (t *HTTP) SubmitResync(now time.Duration, req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
-	var cp protocol.ContentPage
-	if err := t.post("/trust/resync", now, nil, req, &cp); err != nil {
-		return nil, err
-	}
-	return &cp, nil
+	return post[protocol.ContentPage](t, "/trust/resync", now, nil, req)
 }

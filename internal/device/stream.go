@@ -45,7 +45,7 @@ type Stream struct {
 	sess    *protocol.Session
 	conn    *streamClientConn
 	down    bool // sticky: dial/hello failed, Fallback carries everything
-	pending *pendingResume
+	pending *opening
 
 	// Stats counters (under mu).
 	dials     int
@@ -95,8 +95,12 @@ func (t *Stream) BindSession(sess *protocol.Session) {
 		t.conn = nil
 	}
 	if p := t.pending; p != nil {
+		// The resume frame spent sequence number 1; the chain head was
+		// delivered with the resume content page, so prediction starts
+		// at position 0 exactly as after a hello welcome. A welcome
+		// that fails verification falls through to a fresh hello.
 		t.pending = nil
-		if t.adoptPendingLocked(p, sess) {
+		if t.adoptLocked(p, sess, 1) == nil {
 			return
 		}
 	}
@@ -111,11 +115,12 @@ func (t *Stream) BindSession(sess *protocol.Session) {
 	}
 }
 
-// pendingResume is a connection opened by SubmitResume whose welcome
-// could not yet be verified: the resumed session key only exists after
-// the device accepts the resume content page. BindSession finishes the
-// verification and promotes the connection to the live stream.
-type pendingResume struct {
+// opening is a dialled stream whose server welcome has been read but
+// not yet verified. A hello handshake adopts it at once; a resume
+// handshake parks it as pending, because the resumed session key only
+// exists after the device accepts the resume content page —
+// BindSession then finishes the verification and promotes it.
+type opening struct {
 	rwc io.ReadWriteCloser
 	br  *bufio.Reader
 	w   *protocol.StreamWelcome
@@ -133,37 +138,76 @@ func (t *Stream) clearPending() {
 	}
 }
 
-// adoptPendingLocked verifies a pending resume connection's welcome
-// under the now-established session and installs it as the live
-// stream. Returns false (connection closed) if verification fails —
-// the caller then redials the ordinary hello handshake. Caller holds
-// t.mu.
-func (t *Stream) adoptPendingLocked(p *pendingResume, sess *protocol.Session) bool {
-	window, minVerified, err := protocol.AcceptStreamWelcome(sess, p.w)
+// open dials and runs the first half of a handshake: write the opening
+// frame (a hello or a resume), then read the server's answer — the
+// welcome, or an ack carrying the typed rejection. All reads on the
+// connection, the welcome here and every frame the read loop consumes
+// later, share one buffered reader, halving the syscall count of
+// ReadFrame's header+payload read pairs. Every failure closes the
+// connection.
+func (t *Stream) open(ft protocol.FrameType, payload []byte) (*opening, error) {
+	scope := "stream"
+	if ft == protocol.FrameResume {
+		scope = "stream resume"
+	}
+	rwc, err := t.Dial()
 	if err != nil {
-		p.rwc.Close()
-		return false
+		return nil, fmt.Errorf("%w: stream dial: %v", ErrNetwork, err)
+	}
+	if err := protocol.WriteFrame(rwc, ft, payload); err != nil {
+		rwc.Close()
+		return nil, fmt.Errorf("%w: stream %s: %v", ErrNetwork, ft, err)
+	}
+	br := bufio.NewReaderSize(rwc, 32<<10)
+	answer, p, err := protocol.ReadFrame(br)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%w: %s welcome: %v", ErrNetwork, scope, err)
+	case answer == protocol.FrameWelcome:
+		var w *protocol.StreamWelcome
+		if w, err = protocol.Decode[protocol.StreamWelcome](p); err == nil {
+			return &opening{rwc: rwc, br: br, w: w}, nil
+		}
+	case answer == protocol.FrameAck:
+		var ack *protocol.Ack
+		if ack, err = protocol.Decode[protocol.Ack](p); err == nil {
+			err = ackError(ack.Code, ack.Detail)
+		}
+	default:
+		err = fmt.Errorf("device: %s handshake got %s frame", scope, answer)
+	}
+	rwc.Close()
+	return nil, err
+}
+
+// adoptLocked verifies an opening's welcome under sess and installs it
+// as the live stream, starting its reader goroutine; the handshake is
+// synchronous up to here, so it cannot race pushed frames. nextSeq is
+// the last frame sequence the handshake spent. On failure the
+// connection is closed. Caller holds t.mu.
+func (t *Stream) adoptLocked(o *opening, sess *protocol.Session, nextSeq uint64) error {
+	window, minVerified, err := protocol.AcceptStreamWelcome(sess, o.w)
+	if err != nil {
+		o.rwc.Close()
+		return err
 	}
 	if t.OnPolicy != nil {
 		t.OnPolicy(window, minVerified)
 	}
-	seed := append([]byte(nil), p.w.NonceSeed...)
+	seed := append([]byte(nil), o.w.NonceSeed...)
 	c := &streamClientConn{
-		rwc:      p.rwc,
-		br:       p.br,
+		rwc:      o.rwc,
+		br:       o.br,
 		chain:    protocol.NewNonceChain(sess.Key, seed),
 		sess:     sess,
 		seed:     seed,
 		onPolicy: t.OnPolicy,
-		// The resume frame spent sequence number 1; the chain head was
-		// delivered with the resume content page, so prediction starts
-		// at position 0 exactly as after a hello welcome.
-		nextSeq: 1,
+		nextSeq:  nextSeq,
 	}
 	t.conn = c
 	t.dials++
 	go c.readLoop()
-	return true
+	return nil
 }
 
 // SubmitResume implements Transport: dial and open with a resume frame
@@ -181,71 +225,36 @@ func (t *Stream) SubmitResume(now time.Duration, sub *protocol.ResumeSubmit) (*p
 	if !canStream {
 		return t.Fallback.SubmitResume(now, sub)
 	}
-	rwc, err := t.Dial()
-	if err != nil {
-		return nil, fmt.Errorf("%w: stream dial: %v", ErrNetwork, err)
-	}
 	payload, err := protocol.EncodeResumeFrame(1, now, sub)
 	if err != nil {
-		rwc.Close()
 		return nil, err
 	}
-	if err := protocol.WriteFrame(rwc, protocol.FrameResume, payload); err != nil {
-		rwc.Close()
-		return nil, fmt.Errorf("%w: stream resume: %v", ErrNetwork, err)
-	}
-	br := bufio.NewReaderSize(rwc, 32<<10)
-	ft, p, err := protocol.ReadFrame(br)
+	o, err := t.open(protocol.FrameResume, payload)
 	if err != nil {
-		rwc.Close()
-		return nil, fmt.Errorf("%w: stream resume welcome: %v", ErrNetwork, err)
+		return nil, err
 	}
-	var w *protocol.StreamWelcome
-	switch ft {
-	case protocol.FrameWelcome:
-		msg, err := protocol.DecodeBinary(p)
-		if err != nil {
-			rwc.Close()
-			return nil, err
-		}
-		var ok bool
-		if w, ok = msg.(*protocol.StreamWelcome); !ok {
-			rwc.Close()
-			return nil, fmt.Errorf("device: welcome frame carries %T", msg)
-		}
-	case protocol.FrameAck:
-		_, code, detail, aerr := protocol.DecodeAck(p)
-		rwc.Close()
-		if aerr != nil {
-			return nil, aerr
-		}
-		return nil, ackError(code, detail)
-	default:
-		rwc.Close()
-		return nil, fmt.Errorf("device: stream resume handshake got %s frame", ft)
-	}
-	ft, p, err = protocol.ReadFrame(br)
+	ft, p, err := protocol.ReadFrame(o.br)
 	if err != nil {
-		rwc.Close()
+		o.rwc.Close()
 		return nil, fmt.Errorf("%w: stream resume page: %v", ErrNetwork, err)
 	}
 	if ft != protocol.FramePage {
-		rwc.Close()
+		o.rwc.Close()
 		return nil, fmt.Errorf("device: stream resume handshake got %s frame", ft)
 	}
-	seq, index, cp, err := protocol.DecodePageFrame(p)
+	pf, err := protocol.Decode[protocol.PageFrame](p)
 	if err != nil {
-		rwc.Close()
+		o.rwc.Close()
 		return nil, err
 	}
-	if seq != 1 || index != 0 {
-		rwc.Close()
-		return nil, fmt.Errorf("device: resume page frame seq %d/%d does not match 1/0", seq, index)
+	if pf.Seq != 1 || pf.Index != 0 {
+		o.rwc.Close()
+		return nil, fmt.Errorf("device: resume page frame seq %d/%d does not match 1/0", pf.Seq, pf.Index)
 	}
 	t.mu.Lock()
-	t.pending = &pendingResume{rwc: rwc, br: br, w: w}
+	t.pending = o
 	t.mu.Unlock()
-	return cp, nil
+	return pf.Page, nil
 }
 
 // live returns a connected stream, redialing a dead one. It fails —
@@ -275,82 +284,22 @@ func (t *Stream) live() (*streamClientConn, error) {
 	return t.conn, nil
 }
 
-// redialLocked dials and runs the hello/welcome exchange synchronously
-// (the reader goroutine starts only after the welcome, so the handshake
-// cannot race pushed frames). Caller holds t.mu.
+// redialLocked dials and runs the hello/welcome exchange synchronously.
+// Caller holds t.mu.
 func (t *Stream) redialLocked() error {
-	rwc, err := t.Dial()
-	if err != nil {
-		return fmt.Errorf("%w: stream dial: %v", ErrNetwork, err)
-	}
 	hello, err := protocol.BuildStreamHello(t.sess)
 	if err != nil {
-		rwc.Close()
 		return err
 	}
 	hp, err := protocol.EncodeBinary(hello)
 	if err != nil {
-		rwc.Close()
 		return err
 	}
-	if err := protocol.WriteFrame(rwc, protocol.FrameHello, hp); err != nil {
-		rwc.Close()
-		return fmt.Errorf("%w: stream hello: %v", ErrNetwork, err)
-	}
-	// All reads on this connection — the welcome here and every frame
-	// the read loop consumes — share one buffered reader, halving the
-	// syscall count of ReadFrame's header+payload read pairs.
-	br := bufio.NewReaderSize(rwc, 32<<10)
-	ft, payload, err := protocol.ReadFrame(br)
+	o, err := t.open(protocol.FrameHello, hp)
 	if err != nil {
-		rwc.Close()
-		return fmt.Errorf("%w: stream welcome: %v", ErrNetwork, err)
+		return err
 	}
-	var seed []byte
-	switch ft {
-	case protocol.FrameWelcome:
-		msg, err := protocol.DecodeBinary(payload)
-		if err != nil {
-			rwc.Close()
-			return err
-		}
-		w, ok := msg.(*protocol.StreamWelcome)
-		if !ok {
-			rwc.Close()
-			return fmt.Errorf("device: welcome frame carries %T", msg)
-		}
-		window, minVerified, err := protocol.AcceptStreamWelcome(t.sess, w)
-		if err != nil {
-			rwc.Close()
-			return err
-		}
-		seed = append([]byte(nil), w.NonceSeed...)
-		if t.OnPolicy != nil {
-			t.OnPolicy(window, minVerified)
-		}
-	case protocol.FrameAck:
-		_, code, detail, aerr := protocol.DecodeAck(payload)
-		rwc.Close()
-		if aerr != nil {
-			return aerr
-		}
-		return ackError(code, detail)
-	default:
-		rwc.Close()
-		return fmt.Errorf("device: stream handshake got %s frame", ft)
-	}
-	c := &streamClientConn{
-		rwc:      rwc,
-		br:       br,
-		chain:    protocol.NewNonceChain(t.sess.Key, seed),
-		sess:     t.sess,
-		seed:     seed,
-		onPolicy: t.OnPolicy,
-	}
-	t.conn = c
-	t.dials++
-	go c.readLoop()
-	return nil
+	return t.adoptLocked(o, t.sess, 0)
 }
 
 // ackError converts an ack frame's wire code back into the typed
@@ -646,32 +595,32 @@ func (c *streamClientConn) readLoop() {
 		}
 		switch ft {
 		case protocol.FramePage:
-			seq, index, cp, err := protocol.DecodePageFrame(payload)
+			pf, err := protocol.Decode[protocol.PageFrame](payload)
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			if err := c.deliverPage(seq, index, cp); err != nil {
+			if err := c.deliverPage(pf.Seq, pf.Index, pf.Page); err != nil {
 				c.fail(err)
 				return
 			}
 		case protocol.FrameAck:
-			seq, code, detail, err := protocol.DecodeAck(payload)
+			ack, err := protocol.Decode[protocol.Ack](payload)
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			if err := c.deliverAck(seq, code, detail); err != nil {
+			if err := c.deliverAck(ack.Seq, ack.Code, ack.Detail); err != nil {
 				c.fail(err)
 				return
 			}
 		case protocol.FrameHeartbeat:
-			seq, now, err := protocol.DecodeHeartbeat(payload)
+			hb, err := protocol.Decode[protocol.Heartbeat](payload)
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			if err := c.deliverHeartbeat(seq, now); err != nil {
+			if err := c.deliverHeartbeat(hb.Seq, hb.Now); err != nil {
 				c.fail(err)
 				return
 			}
@@ -759,13 +708,9 @@ func (c *streamClientConn) deliverHeartbeat(seq uint64, now time.Duration) error
 // monotonic sequence, so a tightened policy cannot be rolled back by
 // replaying an older push) and hands it to the OnPolicy callback.
 func (c *streamClientConn) acceptPolicyPush(payload []byte) error {
-	msg, err := protocol.DecodeBinary(payload)
+	p, err := protocol.Decode[protocol.PolicyPush](payload)
 	if err != nil {
 		return err
-	}
-	p, ok := msg.(*protocol.PolicyPush)
-	if !ok {
-		return fmt.Errorf("device: policy-push frame carries %T", msg)
 	}
 	c.mu.Lock()
 	last := c.pushSeq

@@ -281,7 +281,7 @@ func (fs *fakeStreamServer) handshake(t *testing.T) {
 		return
 	}
 	w := &protocol.StreamWelcome{Domain: fs.sess.Domain, SessionID: fs.sess.ID, NonceSeed: fs.seed, Window: 12, MinVerified: 2}
-	w.MAC = pki.MAC(fs.sess.Key, w.MACBytes())
+	w.MAC = pki.MAC(fs.sess.Key, mustBytes(w.MACBytes()))
 	payload, err := protocol.EncodeBinary(w)
 	if err != nil {
 		t.Errorf("fake server: encode welcome: %v", err)
@@ -290,6 +290,14 @@ func (fs *fakeStreamServer) handshake(t *testing.T) {
 	if err := protocol.WriteFrame(fs.conn, protocol.FrameWelcome, payload); err != nil {
 		t.Errorf("fake server: write welcome: %v", err)
 	}
+}
+
+// mustBytes unwraps canonical bytes a test message is built to have.
+func mustBytes(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // testPage is the page the fake server serves.
@@ -304,7 +312,7 @@ func (fs *fakeStreamServer) page(nonce protocol.Nonce) *protocol.ContentPage {
 		Account:   fs.sess.Account,
 		Page:      &testPage,
 	}
-	cp.MAC = pki.MAC(fs.sess.Key, cp.MACBytes())
+	cp.MAC = pki.MAC(fs.sess.Key, mustBytes(cp.MACBytes()))
 	return cp
 }
 
@@ -318,7 +326,7 @@ func fakeSession() *protocol.Session {
 
 func fakeRequest(sess *protocol.Session) *protocol.PageRequest {
 	req := &protocol.PageRequest{Domain: sess.Domain, Account: sess.Account, SessionID: sess.ID, Nonce: sess.LastNonce, Action: "home"}
-	req.MAC = pki.MAC(sess.Key, req.MACBytes())
+	req.MAC = pki.MAC(sess.Key, mustBytes(req.MACBytes()))
 	return req
 }
 
@@ -336,7 +344,7 @@ func TestStreamReorderedResponseKillsConnection(t *testing.T) {
 		// Answer with a page whose sequence belongs to a different
 		// request frame — what a reordered or replayed response looks
 		// like on the wire.
-		payload, err := protocol.EncodePageFrame(999, 0, fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1)))
+		payload, err := protocol.EncodeBinary(&protocol.PageFrame{Seq: 999, Page: fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1))})
 		if err != nil {
 			t.Errorf("fake server: encode page: %v", err)
 			return
@@ -367,12 +375,12 @@ func TestStreamDuplicateResponseKillsConnection(t *testing.T) {
 			t.Errorf("fake server: batch: %v (%v)", ft, err)
 			return
 		}
-		tb, err := protocol.DecodeTouchBatch(payload)
+		tb, err := protocol.Decode[protocol.TouchBatch](payload)
 		if err != nil {
 			t.Errorf("fake server: decode batch: %v", err)
 			return
 		}
-		pf, err := protocol.EncodePageFrame(tb.Seq, 0, fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1)))
+		pf, err := protocol.EncodeBinary(&protocol.PageFrame{Seq: tb.Seq, Page: fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1))})
 		if err != nil {
 			t.Errorf("fake server: encode page: %v", err)
 			return

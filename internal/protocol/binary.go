@@ -1,24 +1,27 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
 )
 
 // Binary wire codec: the paper rides its fields in cookie extensions,
 // where every byte counts; this length-prefixed binary encoding is the
 // production alternative to the JSON transport (see the Fig 10 wire
-// overhead table for the size comparison). Authenticators still cover
-// the canonical JSON bytes — the codec is pure transport, so a message
-// may arrive over either encoding and verify identically.
+// overhead table for the size comparison). It is also the one
+// canonical form: every signature and MAC covers the binary encoding of
+// its message with the authenticators cleared, so a message verifies
+// identically whichever transport carried it. JSON is transport only.
+//
+// Each message and frame payload lists its fields once, in a walk
+// method that both encodes and decodes (see codec).
 
 const binVersion = 1
 
@@ -37,456 +40,484 @@ const (
 	tagResumeSubmit
 )
 
-// ErrBinaryDecode reports malformed binary input.
-var ErrBinaryDecode = errors.New("protocol: malformed binary message")
+// maxPageElements bounds a page's element list.
+const maxPageElements = 10000
 
-type binWriter struct{ buf bytes.Buffer }
+var (
+	// ErrBinaryDecode reports malformed binary input.
+	ErrBinaryDecode = errors.New("protocol: malformed binary message")
+	// ErrRange reports a message the canonical form cannot carry: an
+	// int outside [0, 2^32), an element kind outside [0, 255], or a
+	// list longer than its bound. Refusing it keeps the form injective
+	// — a truncated value would authenticate a different message.
+	ErrRange = errors.New("protocol: field outside its wire range")
+)
 
-func (w *binWriter) u8(v byte) { w.buf.WriteByte(v) }
-func (w *binWriter) u32(v int) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(v))
-	w.buf.Write(b[:])
-}
-func (w *binWriter) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
-}
-func (w *binWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *binWriter) bytes(b []byte) {
-	w.u32(len(b))
-	w.buf.Write(b)
-}
-func (w *binWriter) str(s string) { w.bytes([]byte(s)) }
-func (w *binWriter) hash(h frame.Hash) {
-	w.buf.Write(h[:])
+// wireShape is a message or frame payload: anything with a field walk.
+type wireShape interface{ walk(c *codec) }
+
+// Authenticator fields, as bits of codec.omit.
+const (
+	omitSignature uint8 = 1 << iota
+	omitMAC
+)
+
+// codec is the cursor of one field walk. Encoding appends each field to
+// buf; decoding reads it from in at off into the field. The first
+// failure sticks in err — a short read or bad tag when decoding, a
+// value outside its wire range when encoding — and every later read is
+// a no-op. Encoding never writes to the walked value, so shared values
+// (the server's pages) encode concurrently. An encode with omit bits set
+// writes those authenticator fields empty: that is the canonical input
+// of a signature or MAC (SigningBytes, MACBytes).
+type codec struct {
+	decode bool
+	omit   uint8
+	buf    []byte
+	in     []byte
+	off    int
+	err    error
 }
 
-type binReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *binReader) fail() {
-	if r.err == nil {
-		r.err = ErrBinaryDecode
+func (c *codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
-func (r *binReader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
+
+// outOfRange fails the walk on a value outside its field's range. The
+// value stays out of the error: lengths of key material walk the same
+// path.
+func (c *codec) outOfRange() {
+	if c.decode {
+		c.fail(ErrBinaryDecode)
+	} else {
+		c.fail(ErrRange)
 	}
-	v := r.b[r.off]
-	r.off++
-	return v
 }
-func (r *binReader) u32() int {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return int(v)
-}
-func (r *binReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *binReader) bytes() []byte {
-	n := r.u32()
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
+
+// next consumes n input bytes, or fails and returns nil.
+func (c *codec) next(n int) []byte {
+	if c.err != nil || n < 0 || n > len(c.in)-c.off {
+		c.fail(ErrBinaryDecode)
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
-	r.off += n
-	return out
+	b := c.in[c.off : c.off+n]
+	c.off += n
+	return b
 }
 
-// str decodes a string field in one copy: the string conversion
-// itself duplicates the input bytes, so routing through bytes() would
-// pay a second, throwaway allocation on every string field.
-func (r *binReader) str() string {
-	n := r.u32()
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return ""
+// finish fails a decode that left input unread.
+func (c *codec) finish() {
+	if c.err == nil && c.off != len(c.in) {
+		c.err = fmt.Errorf("%w: %d trailing bytes", ErrBinaryDecode, len(c.in)-c.off)
 	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
 }
-func (r *binReader) hash() (h frame.Hash) {
-	if r.err != nil || r.off+len(h) > len(r.b) {
-		r.fail()
+
+// tag walks a message header: the codec version and the message tag.
+func (c *codec) tag(t byte) {
+	if !c.decode {
+		c.buf = append(c.buf, binVersion, t)
 		return
 	}
-	copy(h[:], r.b[r.off:])
-	r.off += len(h)
-	return
+	if b := c.next(2); b != nil && (b[0] != binVersion || b[1] != t) {
+		c.fail(fmt.Errorf("%w: version %d tag %d, want version %d tag %d", ErrBinaryDecode, b[0], b[1], binVersion, t))
+	}
 }
 
-// page encoding.
+func (c *codec) u64(v *uint64) {
+	if !c.decode {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
+		return
+	}
+	if b := c.next(8); b != nil {
+		*v = binary.BigEndian.Uint64(b)
+	}
+}
 
-func writePage(w *binWriter, p *frame.Page) {
+// u32 walks an int as a big-endian u32.
+func (c *codec) u32(v *int) {
+	if !c.decode {
+		if *v < 0 || uint64(*v) > math.MaxUint32 {
+			c.outOfRange()
+		}
+		c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(*v))
+		return
+	}
+	if b := c.next(4); b != nil {
+		*v = int(binary.BigEndian.Uint32(b))
+	}
+}
+
+// u8 walks an int as one byte.
+func (c *codec) u8(v *int) {
+	if !c.decode {
+		if *v < 0 || *v > math.MaxUint8 {
+			c.outOfRange()
+		}
+		c.buf = append(c.buf, byte(*v))
+		return
+	}
+	if b := c.next(1); b != nil {
+		*v = int(b[0])
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	bits := math.Float64bits(*v)
+	c.u64(&bits)
+	if c.decode {
+		*v = math.Float64frombits(bits)
+	}
+}
+
+func (c *codec) dur(v *time.Duration) {
+	u := uint64(*v)
+	c.u64(&u)
+	if c.decode {
+		*v = time.Duration(u)
+	}
+}
+
+// size walks a length prefix.
+func (c *codec) size(n int) int {
+	c.u32(&n)
+	return n
+}
+
+// count walks a list length, which must lie in [lo, hi] both ways.
+func (c *codec) count(n, lo, hi int) int {
+	n = c.size(n)
+	if c.err == nil && (n < lo || n > hi) {
+		c.outOfRange()
+	}
+	if c.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (c *codec) bytes(v *[]byte) {
+	n := c.size(len(*v))
+	if !c.decode {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	if b := c.next(n); b != nil {
+		*v = make([]byte, n)
+		copy(*v, b)
+	}
+}
+
+// auth walks an authenticator field of the given omit bit.
+func (c *codec) auth(v *[]byte, field uint8) {
+	if c.omit&field != 0 {
+		c.size(0)
+		return
+	}
+	c.bytes(v)
+}
+
+func (c *codec) str(v *string) {
+	n := c.size(len(*v))
+	if !c.decode {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	if b := c.next(n); b != nil {
+		*v = string(b)
+	}
+}
+
+func (c *codec) hash(h *frame.Hash) {
+	if !c.decode {
+		c.buf = append(c.buf, h[:]...)
+		return
+	}
+	if b := c.next(len(h)); b != nil {
+		copy(h[:], b)
+	}
+}
+
+// present walks an optional field's presence byte (0 absent, 1
+// present) and reports whether the value follows.
+func (c *codec) present(set bool) bool {
+	flag := 0
+	if set {
+		flag = 1
+	}
+	c.u8(&flag)
+	if flag > 1 {
+		c.outOfRange()
+	}
+	return c.err == nil && flag == 1
+}
+
+// opt walks the presence of the optional *p, allocating it when
+// decoding; it returns the value whose fields follow, or nil.
+func opt[T any](c *codec, p **T) *T {
+	if !c.present(*p != nil) {
+		return nil
+	}
+	if c.decode {
+		*p = new(T)
+	}
+	return *p
+}
+
+// embed walks *p as a length-prefixed embedded message or payload,
+// allocating it when decoding.
+func embed[T any, P interface {
+	*T
+	wireShape
+}](c *codec, p *P) {
+	if !c.decode {
+		at := len(c.buf)
+		c.buf = append(c.buf, 0, 0, 0, 0)
+		(*p).walk(c)
+		n := len(c.buf) - at - 4
+		if uint64(n) > math.MaxUint32 {
+			c.outOfRange()
+		}
+		binary.BigEndian.PutUint32(c.buf[at:], uint32(n))
+		return
+	}
+	n := c.size(0)
+	if c.err != nil || n > len(c.in)-c.off {
+		c.fail(ErrBinaryDecode)
+		return
+	}
+	*p = new(T)
+	outer := c.in
+	c.in = c.in[:c.off+n]
+	(*p).walk(c)
+	c.finish()
+	c.in = outer
+}
+
+func walkPage(c *codec, pp **frame.Page) {
+	p := opt(c, pp)
 	if p == nil {
-		w.u8(0)
 		return
 	}
-	w.u8(1)
-	w.str(p.URL)
-	w.str(p.Title)
-	w.str(p.Body)
-	w.f64(p.HeightPX)
-	w.u32(len(p.Elements))
-	for _, e := range p.Elements {
-		w.str(e.ID)
-		w.u8(byte(e.Kind))
-		w.str(e.Label)
-		w.str(e.Action)
-		w.f64(e.Bounds.Min.X)
-		w.f64(e.Bounds.Min.Y)
-		w.f64(e.Bounds.Max.X)
-		w.f64(e.Bounds.Max.Y)
+	c.str(&p.URL)
+	c.str(&p.Title)
+	c.str(&p.Body)
+	c.f64(&p.HeightPX)
+	n := c.count(len(p.Elements), 0, maxPageElements)
+	for i := 0; i < n && c.err == nil; i++ {
+		if c.decode {
+			p.Elements = append(p.Elements, frame.Element{})
+		}
+		e := &p.Elements[i]
+		c.str(&e.ID)
+		c.u8((*int)(&e.Kind))
+		c.str(&e.Label)
+		c.str(&e.Action)
+		c.f64(&e.Bounds.Min.X)
+		c.f64(&e.Bounds.Min.Y)
+		c.f64(&e.Bounds.Max.X)
+		c.f64(&e.Bounds.Max.Y)
 	}
 }
 
-func readPage(r *binReader) *frame.Page {
-	if r.u8() == 0 {
-		return nil
-	}
-	p := &frame.Page{
-		URL:      r.str(),
-		Title:    r.str(),
-		Body:     r.str(),
-		HeightPX: r.f64(),
-	}
-	n := r.u32()
-	if r.err != nil || n < 0 || n > 10000 {
-		r.fail()
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		e := frame.Element{
-			ID:     r.str(),
-			Kind:   frame.ElementKind(r.u8()),
-			Label:  r.str(),
-			Action: r.str(),
-		}
-		e.Bounds = geom.Rect{
-			Min: geom.Point{X: r.f64(), Y: r.f64()},
-			Max: geom.Point{X: r.f64(), Y: r.f64()},
-		}
-		p.Elements = append(p.Elements, e)
-	}
-	return p
-}
-
-// certificate encoding.
-
-func writeCert(w *binWriter, c *pki.Certificate) {
-	if c == nil {
-		w.u8(0)
+func walkCert(c *codec, cp **pki.Certificate) {
+	x := opt(c, cp)
+	if x == nil {
 		return
 	}
-	w.u8(1)
-	w.str(c.Subject)
-	w.str(string(c.Role))
-	w.bytes(c.PublicKey)
-	w.bytes(c.KemKey)
-	w.str(c.Issuer)
-	w.u64(c.Serial)
-	w.bytes(c.Signature)
+	c.str(&x.Subject)
+	c.str((*string)(&x.Role))
+	c.bytes(&x.PublicKey)
+	c.bytes(&x.KemKey)
+	c.str(&x.Issuer)
+	c.u64(&x.Serial)
+	c.bytes(&x.Signature)
 }
 
-func readCert(r *binReader) *pki.Certificate {
-	if r.u8() == 0 {
-		return nil
-	}
-	return &pki.Certificate{
-		Subject:   r.str(),
-		Role:      pki.Role(r.str()),
-		PublicKey: r.bytes(),
-		KemKey:    r.bytes(),
-		Issuer:    r.str(),
-		Serial:    r.u64(),
-		Signature: r.bytes(),
-	}
+func (m *RegistrationPage) walk(c *codec) {
+	c.tag(tagRegistrationPage)
+	c.str(&m.Domain)
+	c.str((*string)(&m.Nonce))
+	walkPage(c, &m.Page)
+	walkCert(c, &m.ServerCert)
+	c.auth(&m.Signature, omitSignature)
 }
 
-// writerPool recycles encode buffers across EncodeBinary calls (the
-// per-request hot path re-encodes a ContentPage on every response).
-// Oversized buffers are dropped instead of pooled so one huge message
-// does not pin its allocation forever.
-var writerPool = sync.Pool{New: func() any { return new(binWriter) }}
+func (m *RegistrationSubmit) walk(c *codec) {
+	c.tag(tagRegistrationSubmit)
+	c.str(&m.Domain)
+	c.str(&m.Account)
+	c.str((*string)(&m.Nonce))
+	c.bytes(&m.UserPub)
+	c.hash(&m.FrameHash)
+	walkCert(c, &m.DeviceCert)
+	c.auth(&m.Signature, omitSignature)
+}
+
+func (m *LoginPage) walk(c *codec) {
+	c.tag(tagLoginPage)
+	c.str(&m.Domain)
+	c.str((*string)(&m.Nonce))
+	walkPage(c, &m.Page)
+	c.auth(&m.Signature, omitSignature)
+}
+
+func (m *LoginSubmit) walk(c *codec) {
+	c.tag(tagLoginSubmit)
+	c.str(&m.Domain)
+	c.str(&m.Account)
+	c.str((*string)(&m.Nonce))
+	c.bytes(&m.SessionKeyCT)
+	c.hash(&m.FrameHash)
+	c.u32(&m.RiskVerified)
+	c.u32(&m.RiskWindow)
+	c.auth(&m.Signature, omitSignature)
+	c.auth(&m.MAC, omitMAC)
+}
+
+func (m *ContentPage) walk(c *codec) {
+	c.tag(tagContentPage)
+	c.str(&m.Domain)
+	c.str(&m.SessionID)
+	c.str((*string)(&m.Nonce))
+	c.str(&m.Account)
+	walkPage(c, &m.Page)
+	c.bytes(&m.Ticket)
+	c.auth(&m.MAC, omitMAC)
+}
+
+func (m *PageRequest) walk(c *codec) {
+	c.tag(tagPageRequest)
+	c.str(&m.Domain)
+	c.str(&m.Account)
+	c.str(&m.SessionID)
+	c.str((*string)(&m.Nonce))
+	c.str(&m.Action)
+	c.hash(&m.FrameHash)
+	c.u32(&m.RiskVerified)
+	c.u32(&m.RiskWindow)
+	c.auth(&m.MAC, omitMAC)
+}
+
+func (m *ResyncRequest) walk(c *codec) {
+	c.tag(tagResyncRequest)
+	c.str(&m.Domain)
+	c.str(&m.Account)
+	c.str(&m.SessionID)
+	c.auth(&m.MAC, omitMAC)
+}
+
+func (m *ResumeSubmit) walk(c *codec) {
+	c.tag(tagResumeSubmit)
+	c.str(&m.Domain)
+	c.str(&m.Account)
+	c.bytes(&m.Ticket)
+	c.hash(&m.FrameHash)
+	c.u32(&m.RiskVerified)
+	c.u32(&m.RiskWindow)
+	c.auth(&m.MAC, omitMAC)
+}
+
+func (m *StreamHello) walk(c *codec) {
+	c.tag(tagStreamHello)
+	c.str(&m.Domain)
+	c.str(&m.Account)
+	c.str(&m.SessionID)
+	c.auth(&m.MAC, omitMAC)
+}
+
+func (m *StreamWelcome) walk(c *codec) {
+	c.tag(tagStreamWelcome)
+	c.str(&m.Domain)
+	c.str(&m.SessionID)
+	c.bytes(&m.NonceSeed)
+	c.u32(&m.Window)
+	c.u32(&m.MinVerified)
+	c.auth(&m.MAC, omitMAC)
+}
+
+func (m *PolicyPush) walk(c *codec) {
+	c.tag(tagPolicyPush)
+	c.str(&m.Domain)
+	c.str(&m.SessionID)
+	c.u32(&m.Window)
+	c.u32(&m.MinVerified)
+	c.u64(&m.Seq)
+	c.auth(&m.MAC, omitMAC)
+}
+
+// codecPool recycles codecs, and with them encode buffers, across walks
+// (the per-request hot path re-encodes a ContentPage on every
+// response). Oversized buffers are dropped instead of pooled so one
+// huge message does not pin its allocation forever.
+var codecPool = sync.Pool{New: func() any { return new(codec) }}
 
 const maxPooledEncodeBuf = 64 << 10
 
-// EncodeBinary serializes any protocol message to the compact wire
-// form. The returned slice is freshly allocated and owned by the
-// caller.
-func EncodeBinary(msg any) ([]byte, error) {
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
-	if err := encodeBinaryInto(w, msg); err != nil {
-		return nil, err
+// withCodec lends fn an empty pooled codec in encode mode and recycles
+// it afterwards. fn must copy out any bytes it keeps.
+func withCodec(fn func(c *codec) error) error {
+	c := codecPool.Get().(*codec)
+	err := fn(c)
+	c.decode, c.omit, c.buf, c.in, c.off, c.err = false, 0, c.buf[:0], nil, 0, nil
+	if cap(c.buf) <= maxPooledEncodeBuf {
+		codecPool.Put(c)
 	}
-	return append([]byte(nil), w.buf.Bytes()...), nil
+	return err
+}
+
+// EncodeBinary serializes a protocol message or frame payload to its
+// binary wire form. The returned slice is freshly allocated and owned
+// by the caller.
+func EncodeBinary(msg any) ([]byte, error) {
+	return EncodeBinaryAppend(nil, msg)
 }
 
 // EncodeBinaryAppend appends msg's binary encoding to dst and returns
 // the extended slice — the allocation-free variant for callers that
 // recycle their own buffers (the device transport pools request
-// bodies this way, mirroring the writer pool here).
+// bodies this way). On error dst is returned unextended.
 func EncodeBinaryAppend(dst []byte, msg any) ([]byte, error) {
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
+	m, ok := msg.(wireShape)
+	if !ok {
+		return dst, fmt.Errorf("protocol: cannot binary-encode %T", msg)
+	}
+	return encode(dst, m, 0)
+}
+
+// encode appends m's encoding to dst, writing the authenticators in
+// omit empty.
+func encode(dst []byte, m wireShape, omit uint8) ([]byte, error) {
+	err := withCodec(func(c *codec) error {
+		c.omit = omit
+		m.walk(c)
+		if c.err == nil {
+			dst = append(dst, c.buf...)
 		}
-	}()
-	if err := encodeBinaryInto(w, msg); err != nil {
+		return c.err
+	})
+	return dst, err
+}
+
+// Decode parses data as exactly one M — a protocol message or frame
+// payload — failing on anything else: another message type, a short
+// or oversized field, trailing bytes. The result shares no memory with
+// data.
+func Decode[M any](data []byte) (*M, error) {
+	m := new(M)
+	w, ok := any(m).(wireShape)
+	if !ok {
+		return nil, fmt.Errorf("protocol: cannot binary-decode %T", m)
+	}
+	err := withCodec(func(c *codec) error {
+		c.decode, c.in = true, data
+		w.walk(c)
+		c.finish()
+		return c.err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return append(dst, w.buf.Bytes()...), nil
-}
-
-// encodeBinaryInto writes the versioned, tagged encoding of msg into w.
-func encodeBinaryInto(w *binWriter, msg any) error {
-	w.u8(binVersion)
-	switch m := msg.(type) {
-	case *RegistrationPage:
-		w.u8(tagRegistrationPage)
-		w.str(m.Domain)
-		w.str(string(m.Nonce))
-		writePage(w, m.Page)
-		writeCert(w, m.ServerCert)
-		w.bytes(m.Signature)
-	case *RegistrationSubmit:
-		w.u8(tagRegistrationSubmit)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(string(m.Nonce))
-		w.bytes(m.UserPub)
-		w.hash(m.FrameHash)
-		writeCert(w, m.DeviceCert)
-		w.bytes(m.Signature)
-	case *LoginPage:
-		w.u8(tagLoginPage)
-		w.str(m.Domain)
-		w.str(string(m.Nonce))
-		writePage(w, m.Page)
-		w.bytes(m.Signature)
-	case *LoginSubmit:
-		w.u8(tagLoginSubmit)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(string(m.Nonce))
-		w.bytes(m.SessionKeyCT)
-		w.hash(m.FrameHash)
-		w.u32(m.RiskVerified)
-		w.u32(m.RiskWindow)
-		w.bytes(m.Signature)
-		w.bytes(m.MAC)
-	case *ContentPage:
-		w.u8(tagContentPage)
-		w.str(m.Domain)
-		w.str(m.SessionID)
-		w.str(string(m.Nonce))
-		w.str(m.Account)
-		writePage(w, m.Page)
-		w.bytes(m.Ticket)
-		w.bytes(m.MAC)
-	case *PageRequest:
-		w.u8(tagPageRequest)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(m.SessionID)
-		w.str(string(m.Nonce))
-		w.str(m.Action)
-		w.hash(m.FrameHash)
-		w.u32(m.RiskVerified)
-		w.u32(m.RiskWindow)
-		w.bytes(m.MAC)
-	case *ResyncRequest:
-		w.u8(tagResyncRequest)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(m.SessionID)
-		w.bytes(m.MAC)
-	case *ResumeSubmit:
-		w.u8(tagResumeSubmit)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.bytes(m.Ticket)
-		w.hash(m.FrameHash)
-		w.u32(m.RiskVerified)
-		w.u32(m.RiskWindow)
-		w.bytes(m.MAC)
-	case *StreamHello:
-		w.u8(tagStreamHello)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(m.SessionID)
-		w.bytes(m.MAC)
-	case *StreamWelcome:
-		w.u8(tagStreamWelcome)
-		w.str(m.Domain)
-		w.str(m.SessionID)
-		w.bytes(m.NonceSeed)
-		w.u32(m.Window)
-		w.u32(m.MinVerified)
-		w.bytes(m.MAC)
-	case *PolicyPush:
-		w.u8(tagPolicyPush)
-		w.str(m.Domain)
-		w.str(m.SessionID)
-		w.u32(m.Window)
-		w.u32(m.MinVerified)
-		w.u64(m.Seq)
-		w.bytes(m.MAC)
-	default:
-		return fmt.Errorf("protocol: cannot binary-encode %T", msg)
-	}
-	return nil
-}
-
-// DecodeBinary parses a binary message, returning one of the protocol
-// message pointer types.
-func DecodeBinary(data []byte) (any, error) {
-	r := &binReader{b: data}
-	if v := r.u8(); v != binVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBinaryDecode, v)
-	}
-	tag := r.u8()
-	var out any
-	switch tag {
-	case tagRegistrationPage:
-		m := &RegistrationPage{}
-		m.Domain = r.str()
-		m.Nonce = Nonce(r.str())
-		m.Page = readPage(r)
-		m.ServerCert = readCert(r)
-		m.Signature = r.bytes()
-		out = m
-	case tagRegistrationSubmit:
-		m := &RegistrationSubmit{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.Nonce = Nonce(r.str())
-		m.UserPub = r.bytes()
-		m.FrameHash = r.hash()
-		m.DeviceCert = readCert(r)
-		m.Signature = r.bytes()
-		out = m
-	case tagLoginPage:
-		m := &LoginPage{}
-		m.Domain = r.str()
-		m.Nonce = Nonce(r.str())
-		m.Page = readPage(r)
-		m.Signature = r.bytes()
-		out = m
-	case tagLoginSubmit:
-		m := &LoginSubmit{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.Nonce = Nonce(r.str())
-		m.SessionKeyCT = r.bytes()
-		m.FrameHash = r.hash()
-		m.RiskVerified = r.u32()
-		m.RiskWindow = r.u32()
-		m.Signature = r.bytes()
-		m.MAC = r.bytes()
-		out = m
-	case tagContentPage:
-		m := &ContentPage{}
-		m.Domain = r.str()
-		m.SessionID = r.str()
-		m.Nonce = Nonce(r.str())
-		m.Account = r.str()
-		m.Page = readPage(r)
-		m.Ticket = r.bytes()
-		m.MAC = r.bytes()
-		out = m
-	case tagPageRequest:
-		m := &PageRequest{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.SessionID = r.str()
-		m.Nonce = Nonce(r.str())
-		m.Action = r.str()
-		m.FrameHash = r.hash()
-		m.RiskVerified = r.u32()
-		m.RiskWindow = r.u32()
-		m.MAC = r.bytes()
-		out = m
-	case tagResyncRequest:
-		m := &ResyncRequest{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.SessionID = r.str()
-		m.MAC = r.bytes()
-		out = m
-	case tagResumeSubmit:
-		m := &ResumeSubmit{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.Ticket = r.bytes()
-		m.FrameHash = r.hash()
-		m.RiskVerified = r.u32()
-		m.RiskWindow = r.u32()
-		m.MAC = r.bytes()
-		out = m
-	case tagStreamHello:
-		m := &StreamHello{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.SessionID = r.str()
-		m.MAC = r.bytes()
-		out = m
-	case tagStreamWelcome:
-		m := &StreamWelcome{}
-		m.Domain = r.str()
-		m.SessionID = r.str()
-		m.NonceSeed = r.bytes()
-		m.Window = r.u32()
-		m.MinVerified = r.u32()
-		m.MAC = r.bytes()
-		out = m
-	case tagPolicyPush:
-		m := &PolicyPush{}
-		m.Domain = r.str()
-		m.SessionID = r.str()
-		m.Window = r.u32()
-		m.MinVerified = r.u32()
-		m.Seq = r.u64()
-		m.MAC = r.bytes()
-		out = m
-	default:
-		return nil, fmt.Errorf("%w: tag %d", ErrBinaryDecode, tag)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinaryDecode, len(data)-r.off)
-	}
-	return out, nil
+	return m, nil
 }

@@ -48,14 +48,9 @@ func TestEncodeBinaryConcurrentIsolation(t *testing.T) {
 					t.Errorf("interleaved encode %d/%d: %v", g, i, err)
 					return
 				}
-				msg, err := DecodeBinary(data)
+				got, err := Decode[PageRequest](data)
 				if err != nil {
 					t.Errorf("decode %d/%d: %v", g, i, err)
-					return
-				}
-				got, ok := msg.(*PageRequest)
-				if !ok {
-					t.Errorf("decode %d/%d: wrong type %T", g, i, msg)
 					return
 				}
 				if got.Account != req.Account || got.SessionID != req.SessionID ||
@@ -84,11 +79,11 @@ func TestEncodeBinaryOversizeNotPooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := DecodeBinary(data)
+	got, err := Decode[PageRequest](data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := msg.(*PageRequest); got.Account != big.Account {
+	if got.Account != big.Account {
 		t.Fatal("oversize message corrupted")
 	}
 	// A small message right after must be unaffected.
@@ -97,10 +92,10 @@ func TestEncodeBinaryOversizeNotPooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg, err = DecodeBinary(data); err != nil {
+	if got, err = Decode[PageRequest](data); err != nil {
 		t.Fatal(err)
 	}
-	if got := msg.(*PageRequest); got.Account != small.Account {
+	if got.Account != small.Account {
 		t.Fatal("post-oversize message corrupted")
 	}
 }

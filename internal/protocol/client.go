@@ -85,7 +85,11 @@ func (c *Client) HandleRegistrationPage(now time.Duration, msg *RegistrationPage
 	if msg.ServerCert.Subject != msg.Domain {
 		return nil, fmt.Errorf("%w: certificate subject %q does not match domain %q", ErrServerCert, msg.ServerCert.Subject, msg.Domain)
 	}
-	if !ed25519.Verify(msg.ServerCert.Key(), msg.SigningBytes(), msg.Signature) {
+	signed, err := msg.SigningBytes()
+	if err != nil {
+		return nil, err
+	}
+	if !ed25519.Verify(msg.ServerCert.Key(), signed, msg.Signature) {
 		return nil, ErrServerAuth
 	}
 	if !c.m.TouchAuthorized(now) {
@@ -107,11 +111,12 @@ func (c *Client) HandleRegistrationPage(now time.Duration, msg *RegistrationPage
 		FrameHash:  fh,
 		DeviceCert: c.m.DeviceCert(),
 	}
-	sig, err := c.m.SignAsDevice(now, submit.SigningBytes())
-	if err != nil {
+	if signed, err = submit.SigningBytes(); err != nil {
 		return nil, err
 	}
-	submit.Signature = sig
+	if submit.Signature, err = c.m.SignAsDevice(now, signed); err != nil {
+		return nil, err
+	}
 	return submit, nil
 }
 
@@ -143,7 +148,11 @@ func (c *Client) HandleLoginPage(now time.Duration, msg *LoginPage, serverCert *
 	if msg == nil || msg.Page == nil {
 		return nil, nil, errors.New("protocol: empty login page")
 	}
-	if err := c.m.VerifyServerSignature(msg.Domain, msg.SigningBytes(), msg.Signature); err != nil {
+	signed, err := msg.SigningBytes()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := c.m.VerifyServerSignature(msg.Domain, signed, msg.Signature); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrServerAuth, err)
 	}
 	kem, err := c.kemKeyFor(msg.Domain, serverCert)
@@ -175,12 +184,17 @@ func (c *Client) HandleLoginPage(now time.Duration, msg *LoginPage, serverCert *
 		RiskVerified: verified,
 		RiskWindow:   considered,
 	}
-	sig, err := c.m.SignAsService(now, msg.Domain, submit.SigningBytes())
+	if signed, err = submit.SigningBytes(); err != nil {
+		return nil, nil, err
+	}
+	if submit.Signature, err = c.m.SignAsService(now, msg.Domain, signed); err != nil {
+		return nil, nil, err
+	}
+	mb, err := submit.MACBytes()
 	if err != nil {
 		return nil, nil, err
 	}
-	submit.Signature = sig
-	submit.MAC = pki.MAC(key, submit.MACBytes())
+	submit.MAC = pki.MAC(key, mb)
 	sess := &Session{Domain: msg.Domain, Account: account, Key: key, LastNonce: msg.Nonce}
 	return submit, sess, nil
 }
@@ -194,7 +208,11 @@ func (c *Client) AcceptContentPage(sess *Session, msg *ContentPage) error {
 	if msg.Domain != sess.Domain || msg.Account != sess.Account {
 		return fmt.Errorf("protocol: content page for %s/%s on session %s/%s", msg.Domain, msg.Account, sess.Domain, sess.Account)
 	}
-	if !sess.accepter().Check(msg.MACBytes(), msg.MAC) {
+	mb, err := msg.MACBytes()
+	if err != nil {
+		return err
+	}
+	if !sess.accepter().Check(mb, msg.MAC) {
 		return ErrServerAuth
 	}
 	if sess.ID == "" {
@@ -243,7 +261,11 @@ func (c *Client) BuildPageRequestAt(now time.Duration, sess *Session, action str
 		RiskVerified: verified,
 		RiskWindow:   considered,
 	}
-	req.MAC = sess.builder().MAC(req.MACBytes())
+	mb, err := req.MACBytes()
+	if err != nil {
+		return nil, err
+	}
+	req.MAC = sess.builder().MAC(mb)
 	return req, nil
 }
 
@@ -295,7 +317,11 @@ func (c *Client) BuildResumeSubmit(now time.Duration, domain, account string, ti
 		RiskVerified: verified,
 		RiskWindow:   considered,
 	}
-	submit.MAC = pki.MAC(key, submit.MACBytes())
+	mb, err := submit.MACBytes()
+	if err != nil {
+		return nil, nil, err
+	}
+	submit.MAC = pki.MAC(key, mb)
 	sess := &Session{Domain: domain, Account: account, Key: key}
 	return submit, sess, nil
 }
@@ -320,7 +346,11 @@ func (c *Client) AcceptResumePage(sess *Session, msg *ContentPage) error {
 		return errors.New("protocol: resume response lacks a session id")
 	}
 	key := ResumeKey(sess.Key, msg.SessionID)
-	if !pki.CheckMAC(key, msg.MACBytes(), msg.MAC) {
+	mb, err := msg.MACBytes()
+	if err != nil {
+		return err
+	}
+	if !pki.CheckMAC(key, mb, msg.MAC) {
 		return ErrServerAuth
 	}
 	sess.Key = key
@@ -340,7 +370,11 @@ func (c *Client) BuildResync(sess *Session) (*ResyncRequest, error) {
 		return nil, errors.New("protocol: no established session")
 	}
 	req := &ResyncRequest{Domain: sess.Domain, Account: sess.Account, SessionID: sess.ID}
-	req.MAC = pki.MAC(sess.Key, req.MACBytes())
+	mb, err := req.MACBytes()
+	if err != nil {
+		return nil, err
+	}
+	req.MAC = pki.MAC(sess.Key, mb)
 	return req, nil
 }
 
@@ -355,7 +389,11 @@ func BuildStreamHello(sess *Session) (*StreamHello, error) {
 		return nil, errors.New("protocol: no established session")
 	}
 	h := &StreamHello{Domain: sess.Domain, Account: sess.Account, SessionID: sess.ID}
-	h.MAC = pki.MAC(sess.Key, h.MACBytes())
+	mb, err := h.MACBytes()
+	if err != nil {
+		return nil, err
+	}
+	h.MAC = pki.MAC(sess.Key, mb)
 	return h, nil
 }
 
@@ -370,7 +408,11 @@ func AcceptStreamWelcome(sess *Session, w *StreamWelcome) (window, minVerified i
 	if w.Domain != sess.Domain || w.SessionID != sess.ID {
 		return 0, 0, fmt.Errorf("protocol: stream welcome for %s/%s on session %s/%s", w.Domain, w.SessionID, sess.Domain, sess.ID)
 	}
-	if !pki.CheckMAC(sess.Key, w.MACBytes(), w.MAC) {
+	mb, err := w.MACBytes()
+	if err != nil {
+		return 0, 0, err
+	}
+	if !pki.CheckMAC(sess.Key, mb, w.MAC) {
 		return 0, 0, ErrServerAuth
 	}
 	sess.LastNonce = StreamNonce(sess.Key, w.NonceSeed, 0)
@@ -388,7 +430,11 @@ func VerifyPolicyPush(sess *Session, p *PolicyPush, lastSeq uint64) error {
 	if p.Domain != sess.Domain || p.SessionID != sess.ID {
 		return fmt.Errorf("protocol: policy push for %s/%s on session %s/%s", p.Domain, p.SessionID, sess.Domain, sess.ID)
 	}
-	if !pki.CheckMAC(sess.Key, p.MACBytes(), p.MAC) {
+	mb, err := p.MACBytes()
+	if err != nil {
+		return err
+	}
+	if !pki.CheckMAC(sess.Key, mb, p.MAC) {
 		return ErrServerAuth
 	}
 	if p.Seq <= lastSeq {

@@ -13,12 +13,14 @@ import (
 //
 //	[1B type][4B big-endian payload length][payload]
 //
-// Payloads of the message-bearing frames (hello, welcome, touch-batch,
-// page, policy-push, resync) reuse the binary message codec, so a
-// message verifies identically whether it arrived framed or as an HTTP
-// body. Frames are assembled in the pooled binary writer and hit the
-// connection in a single Write — one syscall per frame, and a torn or
-// cut write can never interleave two frames.
+// Payloads reuse the binary message codec: hello, welcome and
+// policy-push frames carry one message, and the seq-bearing frames
+// carry a payload shape (TouchBatch, PageFrame, ...) walked by the same
+// codec, with embedded messages length-prefixed. A message therefore
+// verifies identically whether it arrived framed or as an HTTP body.
+// Frames are assembled in a pooled codec buffer and hit the connection
+// in a single Write — one syscall per frame, and a torn or cut write can
+// never interleave two frames.
 
 // FrameType tags a stream frame.
 type FrameType byte
@@ -104,27 +106,21 @@ const frameHeaderLen = 5
 // 1 MiB body bound.
 const MaxFramePayload = 1 << 20
 
-// ErrFrame reports a malformed frame or frame payload.
+// ErrFrame reports a malformed or oversized frame. A malformed payload
+// fails its decode with ErrBinaryDecode, like any binary message.
 var ErrFrame = errors.New("protocol: malformed stream frame")
 
 // WriteFrame writes one frame to w in a single Write call. The payload
 // may be nil (heartbeats, bye).
 func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, len(payload), MaxFramePayload)
-	}
-	bw := writerPool.Get().(*binWriter)
-	bw.buf.Reset()
-	defer func() {
-		if bw.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(bw)
+	return withCodec(func(c *codec) error {
+		var err error
+		if c.buf, err = AppendFrame(c.buf, t, payload); err != nil {
+			return err
 		}
-	}()
-	bw.u8(byte(t))
-	bw.u32(len(payload))
-	bw.buf.Write(payload)
-	_, err := w.Write(bw.buf.Bytes())
-	return err
+		_, err = w.Write(c.buf)
+		return err
+	})
 }
 
 // AppendFrame appends one whole frame (header + payload) to dst and
@@ -165,10 +161,15 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	return t, payload, nil
 }
 
-// TouchBatch is the decoded payload of a FrameTouchBatch: the client's
-// frame sequence number (echoed by every response so a reordered or
-// replayed frame is detected immediately), the virtual timestamp, and
-// the batched touch-authenticated page requests, applied in order.
+// Frame payloads. Each seq-bearing frame's payload is one of these
+// shapes, walked by the binary codec like a message but untagged (the
+// frame type already says what follows); decode one with Decode, e.g.
+// Decode[TouchBatch](payload). Embedded messages are length-prefixed.
+
+// TouchBatch is the payload of a FrameTouchBatch: the client's frame
+// sequence number (echoed by every response so a reordered or replayed
+// frame is detected immediately), the virtual timestamp, and the
+// batched touch-authenticated page requests, applied in order.
 type TouchBatch struct {
 	Seq      uint64
 	Now      time.Duration
@@ -179,260 +180,134 @@ type TouchBatch struct {
 // carry.
 const maxBatchRequests = 256
 
-// EncodeTouchBatch serializes a touch batch into a frame payload.
-func EncodeTouchBatch(seq uint64, now time.Duration, reqs []*PageRequest) ([]byte, error) {
-	if len(reqs) == 0 || len(reqs) > maxBatchRequests {
-		return nil, fmt.Errorf("%w: batch of %d requests", ErrFrame, len(reqs))
+func (b *TouchBatch) walk(c *codec) {
+	c.u64(&b.Seq)
+	c.dur(&b.Now)
+	n := c.count(len(b.Requests), 1, maxBatchRequests)
+	if c.decode {
+		b.Requests = make([]*PageRequest, n)
 	}
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
-	w.u64(seq)
-	w.u64(uint64(now))
-	w.u32(len(reqs))
-	for _, req := range reqs {
-		msg, err := EncodeBinary(req)
-		if err != nil {
-			return nil, err
-		}
-		w.bytes(msg)
+	for i := 0; i < n && c.err == nil; i++ {
+		embed(c, &b.Requests[i])
 	}
-	return append([]byte(nil), w.buf.Bytes()...), nil
 }
 
-// DecodeTouchBatch parses a touch-batch frame payload.
-func DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
-	r := &binReader{b: payload}
-	tb := &TouchBatch{Seq: r.u64(), Now: time.Duration(r.u64())}
-	n := r.u32()
-	if r.err != nil || n < 1 || n > maxBatchRequests {
-		return nil, fmt.Errorf("%w: touch-batch header", ErrFrame)
-	}
-	for i := 0; i < n; i++ {
-		raw := r.bytes()
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: touch-batch request %d", ErrFrame, i)
-		}
-		msg, err := DecodeBinary(raw)
-		if err != nil {
-			return nil, err
-		}
-		req, ok := msg.(*PageRequest)
-		if !ok {
-			return nil, fmt.Errorf("%w: touch-batch carries %T", ErrFrame, msg)
-		}
-		tb.Requests = append(tb.Requests, req)
-	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(payload)-r.off)
-	}
-	return tb, nil
-}
-
-// EncodePageFrame serializes a page response: the echoed request frame
+// PageFrame is the payload of a FramePage: the echoed request frame
 // sequence, the index of the batched request it answers, and the
 // content page.
-func EncodePageFrame(seq uint64, index int, cp *ContentPage) ([]byte, error) {
-	body, err := EncodeBinary(cp)
-	if err != nil {
-		return nil, err
-	}
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
-	w.u64(seq)
-	w.u32(index)
-	w.bytes(body)
-	return append([]byte(nil), w.buf.Bytes()...), nil
+type PageFrame struct {
+	Seq   uint64
+	Index int
+	Page  *ContentPage
+}
+
+func (f *PageFrame) walk(c *codec) {
+	c.u64(&f.Seq)
+	c.u32(&f.Index)
+	embed(c, &f.Page)
+}
+
+// Heartbeat is the payload of a FrameHeartbeat: a client-chosen
+// sequence plus the virtual timestamp; the server echoes both
+// verbatim.
+type Heartbeat struct {
+	Seq uint64
+	Now time.Duration
+}
+
+func (h *Heartbeat) walk(c *codec) {
+	c.u64(&h.Seq)
+	c.dur(&h.Now)
+}
+
+// Ack is the payload of a FrameAck: the echoed frame sequence, a wire
+// error code ("" = ok; otherwise one of the X-Trust-Error codes, so the
+// stream surfaces the same typed rejections as the HTTP path), and a
+// human-readable detail.
+type Ack struct {
+	Seq    uint64
+	Code   string
+	Detail string
+}
+
+func (a *Ack) walk(c *codec) {
+	c.u64(&a.Seq)
+	c.str(&a.Code)
+	c.str(&a.Detail)
+}
+
+// ResumeFrame is the payload of a FrameResume, a ticket fast login
+// carried as a stream's opening frame: the client frame sequence, the
+// virtual timestamp (a resume opens a connection, so unlike touch
+// batches there is no preceding hello to carry it), and the
+// ResumeSubmit.
+type ResumeFrame struct {
+	Seq    uint64
+	Now    time.Duration
+	Submit *ResumeSubmit
+}
+
+func (f *ResumeFrame) walk(c *codec) {
+	c.u64(&f.Seq)
+	c.dur(&f.Now)
+	embed(c, &f.Submit)
+}
+
+// ResyncFrame is the payload of a FrameResync: the client frame
+// sequence plus the MAC-proof resync request.
+type ResyncFrame struct {
+	Seq     uint64
+	Request *ResyncRequest
+}
+
+func (f *ResyncFrame) walk(c *codec) {
+	c.u64(&f.Seq)
+	embed(c, &f.Request)
+}
+
+// EncodeTouchBatch serializes a touch-batch payload.
+func EncodeTouchBatch(seq uint64, now time.Duration, reqs []*PageRequest) ([]byte, error) {
+	return EncodeBinary(&TouchBatch{Seq: seq, Now: now, Requests: reqs})
+}
+
+// EncodeResumeFrame serializes a stream resume payload.
+func EncodeResumeFrame(seq uint64, now time.Duration, sub *ResumeSubmit) ([]byte, error) {
+	return EncodeBinary(&ResumeFrame{Seq: seq, Now: now, Submit: sub})
+}
+
+// EncodeResyncFrame serializes a stream resync payload.
+func EncodeResyncFrame(seq uint64, req *ResyncRequest) ([]byte, error) {
+	return EncodeBinary(&ResyncFrame{Seq: seq, Request: req})
+}
+
+// EncodeAck serializes an ack payload. A sequence number and two
+// strings always encode, so there is no error to report.
+func EncodeAck(seq uint64, code, detail string) []byte {
+	b, _ := EncodeBinary(&Ack{Seq: seq, Code: code, Detail: detail})
+	return b
+}
+
+// EncodeHeartbeat serializes a heartbeat payload (or its echo). Two
+// fixed-width integers always encode, so there is no error to report.
+func EncodeHeartbeat(seq uint64, now time.Duration) []byte {
+	b, _ := EncodeBinary(&Heartbeat{Seq: seq, Now: now})
+	return b
 }
 
 // AppendPageFrame appends a complete FramePage frame — header included
-// — to dst and returns the extended slice. It is the zero-copy variant
-// of WriteFrame(w, FramePage, EncodePageFrame(...)): the content page
-// is encoded once, directly into dst, instead of being serialized into
-// an intermediate payload and copied twice more. The batch response
-// path builds its whole reply here before a single write.
+// — to dst and returns the extended slice; on error dst is returned
+// unextended. The batch and resync response paths build their replies
+// here before a single write.
 func AppendPageFrame(dst []byte, seq uint64, index int, cp *ContentPage) ([]byte, error) {
-	base := len(dst)
-	// Frame header: type byte + 4-byte payload length, backfilled once
-	// the payload is in place.
-	dst = append(dst, byte(FramePage), 0, 0, 0, 0)
-	var fixed [12]byte
-	binary.BigEndian.PutUint64(fixed[:8], seq)
-	binary.BigEndian.PutUint32(fixed[8:], uint32(index))
-	dst = append(dst, fixed[:]...)
-	// Length-prefixed message body, length backfilled like the header.
-	bodyAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	out, err := EncodeBinaryAppend(dst, cp)
-	if err != nil {
-		return dst[:base], err
-	}
-	dst = out
-	binary.BigEndian.PutUint32(dst[bodyAt:], uint32(len(dst)-bodyAt-4))
-	payload := len(dst) - base - frameHeaderLen
-	if payload > MaxFramePayload {
-		return dst[:base], fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, payload, MaxFramePayload)
-	}
-	binary.BigEndian.PutUint32(dst[base+1:], uint32(payload))
-	return dst, nil
-}
-
-// DecodePageFrame parses a page-response frame payload.
-func DecodePageFrame(payload []byte) (seq uint64, index int, cp *ContentPage, err error) {
-	r := &binReader{b: payload}
-	seq = r.u64()
-	index = r.u32()
-	raw := r.bytes()
-	if r.err != nil || r.off != len(payload) {
-		return 0, 0, nil, fmt.Errorf("%w: page frame", ErrFrame)
-	}
-	msg, err := DecodeBinary(raw)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	cp, ok := msg.(*ContentPage)
-	if !ok {
-		return 0, 0, nil, fmt.Errorf("%w: page frame carries %T", ErrFrame, msg)
-	}
-	return seq, index, cp, nil
-}
-
-// Heartbeat payload: a client-chosen sequence plus the virtual
-// timestamp; the server echoes both verbatim.
-
-// EncodeHeartbeat serializes a heartbeat (or its echo).
-func EncodeHeartbeat(seq uint64, now time.Duration) []byte {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], seq)
-	binary.BigEndian.PutUint64(b[8:], uint64(now))
-	return b[:]
-}
-
-// DecodeHeartbeat parses a heartbeat payload.
-func DecodeHeartbeat(payload []byte) (seq uint64, now time.Duration, err error) {
-	if len(payload) != 16 {
-		return 0, 0, fmt.Errorf("%w: heartbeat of %d bytes", ErrFrame, len(payload))
-	}
-	return binary.BigEndian.Uint64(payload[:8]), time.Duration(binary.BigEndian.Uint64(payload[8:])), nil
-}
-
-// Ack payload: the echoed frame sequence, a wire error code ("" = ok;
-// otherwise one of the X-Trust-Error codes, so the stream surfaces the
-// same typed rejections as the HTTP path), and a human-readable
-// detail.
-
-// EncodeAck serializes an ack/error frame payload.
-func EncodeAck(seq uint64, code, detail string) []byte {
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
+	f := PageFrame{Seq: seq, Index: index, Page: cp}
+	err := withCodec(func(c *codec) error {
+		f.walk(c)
+		if c.err != nil {
+			return c.err
 		}
-	}()
-	w.u64(seq)
-	w.str(code)
-	w.str(detail)
-	return append([]byte(nil), w.buf.Bytes()...)
-}
-
-// DecodeAck parses an ack/error frame payload.
-func DecodeAck(payload []byte) (seq uint64, code, detail string, err error) {
-	r := &binReader{b: payload}
-	seq = r.u64()
-	code = r.str()
-	detail = r.str()
-	if r.err != nil || r.off != len(payload) {
-		return 0, "", "", fmt.Errorf("%w: ack frame", ErrFrame)
-	}
-	return seq, code, detail, nil
-}
-
-// EncodeResumeFrame serializes a ticket fast login carried as a
-// stream's opening frame: the client frame sequence, the virtual
-// timestamp (a resume opens a connection, so unlike touch batches
-// there is no preceding hello to carry it), and the ResumeSubmit.
-func EncodeResumeFrame(seq uint64, now time.Duration, sub *ResumeSubmit) ([]byte, error) {
-	body, err := EncodeBinary(sub)
-	if err != nil {
-		return nil, err
-	}
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
-	w.u64(seq)
-	w.u64(uint64(now))
-	w.bytes(body)
-	return append([]byte(nil), w.buf.Bytes()...), nil
-}
-
-// DecodeResumeFrame parses a stream resume payload.
-func DecodeResumeFrame(payload []byte) (seq uint64, now time.Duration, sub *ResumeSubmit, err error) {
-	r := &binReader{b: payload}
-	seq = r.u64()
-	now = time.Duration(r.u64())
-	raw := r.bytes()
-	if r.err != nil || r.off != len(payload) {
-		return 0, 0, nil, fmt.Errorf("%w: resume frame", ErrFrame)
-	}
-	msg, err := DecodeBinary(raw)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	rs, ok := msg.(*ResumeSubmit)
-	if !ok {
-		return 0, 0, nil, fmt.Errorf("%w: resume frame carries %T", ErrFrame, msg)
-	}
-	return seq, now, rs, nil
-}
-
-// EncodeResyncFrame serializes a resync carried on the stream: the
-// client frame sequence plus the MAC-proof resync request.
-func EncodeResyncFrame(seq uint64, req *ResyncRequest) ([]byte, error) {
-	body, err := EncodeBinary(req)
-	if err != nil {
-		return nil, err
-	}
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
-	w.u64(seq)
-	w.bytes(body)
-	return append([]byte(nil), w.buf.Bytes()...), nil
-}
-
-// DecodeResyncFrame parses a stream resync payload.
-func DecodeResyncFrame(payload []byte) (seq uint64, req *ResyncRequest, err error) {
-	r := &binReader{b: payload}
-	seq = r.u64()
-	raw := r.bytes()
-	if r.err != nil || r.off != len(payload) {
-		return 0, nil, fmt.Errorf("%w: resync frame", ErrFrame)
-	}
-	msg, err := DecodeBinary(raw)
-	if err != nil {
-		return 0, nil, err
-	}
-	rr, ok := msg.(*ResyncRequest)
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: resync frame carries %T", ErrFrame, msg)
-	}
-	return seq, rr, nil
+		var err error
+		dst, err = AppendFrame(dst, FramePage, c.buf)
+		return err
+	})
+	return dst, err
 }

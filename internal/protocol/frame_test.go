@@ -116,9 +116,9 @@ func TestFrameSurvivesTornWrites(t *testing.T) {
 	if ft != FrameAck {
 		t.Fatalf("got %s", ft)
 	}
-	seq, code, detail, err := DecodeAck(payload)
-	if err != nil || seq != 3 || code != "bad-nonce" || detail != "detail" {
-		t.Fatalf("ack decode: %d %q %q %v", seq, code, detail, err)
+	ack, err := Decode[Ack](payload)
+	if err != nil || ack.Seq != 3 || ack.Code != "bad-nonce" || ack.Detail != "detail" {
+		t.Fatalf("ack decode: %+v %v", ack, err)
 	}
 	wg.Wait()
 }
@@ -129,7 +129,7 @@ func TestTouchBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := DecodeTouchBatch(payload)
+	tb, err := Decode[TouchBatch](payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,14 @@ func TestTouchBatchRoundTrip(t *testing.T) {
 }
 
 func TestTouchBatchBounds(t *testing.T) {
-	if _, err := EncodeTouchBatch(1, 0, nil); !errors.Is(err, ErrFrame) {
+	if _, err := EncodeTouchBatch(1, 0, nil); !errors.Is(err, ErrRange) {
 		t.Fatalf("empty batch: %v", err)
 	}
 	big := make([]*PageRequest, maxBatchRequests+1)
 	for i := range big {
 		big[i] = testPageRequest("home")
 	}
-	if _, err := EncodeTouchBatch(1, 0, big); !errors.Is(err, ErrFrame) {
+	if _, err := EncodeTouchBatch(1, 0, big); !errors.Is(err, ErrRange) {
 		t.Fatalf("oversized batch: %v", err)
 	}
 	// Trailing garbage after a valid batch must be rejected.
@@ -159,23 +159,23 @@ func TestTouchBatchBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTouchBatch(append(payload, 0xff)); !errors.Is(err, ErrFrame) {
+	if _, err := Decode[TouchBatch](append(payload, 0xff)); !errors.Is(err, ErrBinaryDecode) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 }
 
 func TestPageFrameRoundTrip(t *testing.T) {
 	cp := testContentPage()
-	payload, err := EncodePageFrame(7, 2, cp)
+	frame, err := AppendPageFrame(nil, 7, 2, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, index, got, err := DecodePageFrame(payload)
+	pf, err := Decode[PageFrame](frame[frameHeaderLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 7 || index != 2 || got.Nonce != cp.Nonce || got.Page.URL != cp.Page.URL {
-		t.Fatalf("page frame: %d %d %+v", seq, index, got)
+	if pf.Seq != 7 || pf.Index != 2 || pf.Page.Nonce != cp.Nonce || pf.Page.Page.URL != cp.Page.URL {
+		t.Fatalf("page frame: %+v", pf)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestPageFrameRoundTrip(t *testing.T) {
 // indistinguishable on the wire from per-frame WriteFrame calls.
 func TestAppendFrameWireEquivalence(t *testing.T) {
 	cp := testContentPage()
-	payload, err := EncodePageFrame(7, 2, cp)
+	payload, err := EncodeBinary(&PageFrame{Seq: 7, Index: 2, Page: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +222,12 @@ func TestResyncFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, got, err := DecodeResyncFrame(payload)
+	rf, err := Decode[ResyncFrame](payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 11 || got.SessionID != rr.SessionID || !bytes.Equal(got.MAC, rr.MAC) {
-		t.Fatalf("resync frame: %d %+v", seq, got)
+	if got := rf.Request; rf.Seq != 11 || got.SessionID != rr.SessionID || !bytes.Equal(got.MAC, rr.MAC) {
+		t.Fatalf("resync frame: %d %+v", rf.Seq, got)
 	}
 }
 
@@ -253,27 +253,37 @@ func TestStreamNonceDeterministicAndKeyed(t *testing.T) {
 }
 
 func TestStreamHelloWelcomeBinaryRoundTrip(t *testing.T) {
-	for _, msg := range []any{
-		&StreamHello{Domain: "www.xyz.com", Account: "acct", SessionID: "s", MAC: []byte{1}},
-		&StreamWelcome{Domain: "www.xyz.com", SessionID: "s", NonceSeed: []byte("0123456789abcdef"), Window: 12, MinVerified: 2, MAC: []byte{2}},
-		&PolicyPush{Domain: "www.xyz.com", SessionID: "s", Window: 8, MinVerified: 3, Seq: 4, MAC: []byte{3}},
-	} {
-		data, err := EncodeBinary(msg)
+	stable := func(name string, data []byte, back any, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("%T encode: %v", msg, err)
-		}
-		back, err := DecodeBinary(data)
-		if err != nil {
-			t.Fatalf("%T decode: %v", msg, err)
+			t.Fatalf("%s decode: %v", name, err)
 		}
 		d2, err := EncodeBinary(back)
 		if err != nil {
-			t.Fatalf("%T re-encode: %v", msg, err)
+			t.Fatalf("%s re-encode: %v", name, err)
 		}
 		if !bytes.Equal(data, d2) {
-			t.Fatalf("%T not byte-stable", msg)
+			t.Fatalf("%s not byte-stable", name)
 		}
 	}
+	hello, err := EncodeBinary(&StreamHello{Domain: "www.xyz.com", Account: "acct", SessionID: "s", MAC: []byte{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Decode[StreamHello](hello)
+	stable("hello", hello, h, err)
+	welcome, err := EncodeBinary(&StreamWelcome{Domain: "www.xyz.com", SessionID: "s", NonceSeed: []byte("0123456789abcdef"), Window: 12, MinVerified: 2, MAC: []byte{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Decode[StreamWelcome](welcome)
+	stable("welcome", welcome, w, err)
+	push, err := EncodeBinary(&PolicyPush{Domain: "www.xyz.com", SessionID: "s", Window: 8, MinVerified: 3, Seq: 4, MAC: []byte{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Decode[PolicyPush](push)
+	stable("policy push", push, p, err)
 }
 
 func TestEncodeBinaryAppend(t *testing.T) {

@@ -11,9 +11,6 @@
 package protocol
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"trust/internal/frame"
 	"trust/internal/pki"
 )
@@ -143,104 +140,38 @@ type PageRequest struct {
 	MAC          []byte
 }
 
-// canonical returns deterministic signing bytes: the JSON encoding of
-// the value with its authenticator cleared. Callers pass a copy whose
-// Signature/MAC field is nil.
-func canonical(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// All message types marshal cleanly; an error is a programming
-		// bug, not an input condition.
-		panic(fmt.Sprintf("protocol: canonical encoding: %v", err))
-	}
-	return b
-}
-
-// SigningBytes implementations: each clears the authenticator and
-// canonicalizes the rest, so any field tampering invalidates it.
+// SigningBytes and MACBytes implementations: each is the canonical
+// binary encoding of the message with the authenticators it excludes
+// written empty, so any field tampering invalidates them. The message
+// tag leads the encoding, so an authenticator never verifies across
+// message types. A message the canonical form cannot carry fails with
+// ErrRange.
 
 // SigningBytes of a RegistrationPage covers everything but Signature.
-func (m *RegistrationPage) SigningBytes() []byte {
-	cp := *m
-	cp.Signature = nil
-	return canonical(&cp)
-}
+func (m *RegistrationPage) SigningBytes() ([]byte, error) { return encode(nil, m, omitSignature) }
 
 // SigningBytes of a RegistrationSubmit covers everything but Signature.
-func (m *RegistrationSubmit) SigningBytes() []byte {
-	cp := *m
-	cp.Signature = nil
-	return canonical(&cp)
-}
+func (m *RegistrationSubmit) SigningBytes() ([]byte, error) { return encode(nil, m, omitSignature) }
 
 // SigningBytes of a LoginPage covers everything but Signature.
-func (m *LoginPage) SigningBytes() []byte {
-	cp := *m
-	cp.Signature = nil
-	return canonical(&cp)
-}
+func (m *LoginPage) SigningBytes() ([]byte, error) { return encode(nil, m, omitSignature) }
 
 // SigningBytes of a LoginSubmit covers everything but Signature and
 // MAC (the signature is applied first, the MAC over the signed whole).
-func (m *LoginSubmit) SigningBytes() []byte {
-	cp := *m
-	cp.Signature = nil
-	cp.MAC = nil
-	return canonical(&cp)
-}
+func (m *LoginSubmit) SigningBytes() ([]byte, error) { return encode(nil, m, omitSignature|omitMAC) }
 
 // MACBytes of a LoginSubmit covers everything (including Signature)
 // but MAC.
-func (m *LoginSubmit) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonical(&cp)
-}
-
-// canonicalBinary returns deterministic MAC input for the hot-path
-// messages: the pooled binary encoding of the value with its
-// authenticator cleared. The binary codec writes fields in fixed
-// order with explicit lengths, so it is exactly as canonical as the
-// JSON form it replaces — at a fraction of the cost. Profiling showed
-// reflective JSON marshalling for MAC inputs was ~40% of a
-// continuous-auth round trip, charged once per request on the client
-// and again on the server.
-func canonicalBinary(v any) []byte {
-	b, err := EncodeBinary(v)
-	if err != nil {
-		// All message types encode cleanly; an error is a programming
-		// bug, not an input condition.
-		panic(fmt.Sprintf("protocol: canonical binary encoding: %v", err))
-	}
-	return b
-}
+func (m *LoginSubmit) MACBytes() ([]byte, error) { return encode(nil, m, omitMAC) }
 
 // MACBytes of a ContentPage covers everything but MAC.
-func (m *ContentPage) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonicalBinary(&cp)
-}
+func (m *ContentPage) MACBytes() ([]byte, error) { return encode(nil, m, omitMAC) }
 
 // MACBytes of a PageRequest covers everything but MAC.
-func (m *PageRequest) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonicalBinary(&cp)
-}
+func (m *PageRequest) MACBytes() ([]byte, error) { return encode(nil, m, omitMAC) }
 
 // MACBytes of a ResyncRequest covers everything but MAC.
-func (m *ResyncRequest) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonicalBinary(&cp)
-}
+func (m *ResyncRequest) MACBytes() ([]byte, error) { return encode(nil, m, omitMAC) }
 
-// MACBytes of a ResumeSubmit covers everything but MAC. Resume is a
-// login-rate message but rides the hot binary canonical form anyway —
-// symmetric-only verification is the whole point of the ticket path.
-func (m *ResumeSubmit) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonicalBinary(&cp)
-}
+// MACBytes of a ResumeSubmit covers everything but MAC.
+func (m *ResumeSubmit) MACBytes() ([]byte, error) { return encode(nil, m, omitMAC) }

@@ -8,30 +8,38 @@ import (
 	"trust/internal/frame"
 )
 
+// mustBytes unwraps canonical bytes a test message is built to have.
+func mustBytes(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestSigningBytesExcludeAuthenticators(t *testing.T) {
 	page := &frame.Page{URL: "https://x/login", Title: "t", HeightPX: 800}
 	lp := &LoginPage{Domain: "x", Nonce: "n1", Page: page}
-	base := lp.SigningBytes()
+	base := mustBytes(lp.SigningBytes())
 	lp.Signature = []byte("sig")
-	if !bytes.Equal(base, lp.SigningBytes()) {
+	if !bytes.Equal(base, mustBytes(lp.SigningBytes())) {
 		t.Fatal("LoginPage signature leaks into signing bytes")
 	}
 
 	ls := &LoginSubmit{Domain: "x", Account: "a", Nonce: "n1"}
-	sb := ls.SigningBytes()
+	sb := mustBytes(ls.SigningBytes())
 	ls.Signature = []byte("s")
 	ls.MAC = []byte("m")
-	if !bytes.Equal(sb, ls.SigningBytes()) {
+	if !bytes.Equal(sb, mustBytes(ls.SigningBytes())) {
 		t.Fatal("LoginSubmit authenticators leak into signing bytes")
 	}
-	mb := ls.MACBytes()
+	mb := mustBytes(ls.MACBytes())
 	ls.MAC = []byte("other")
-	if !bytes.Equal(mb, ls.MACBytes()) {
+	if !bytes.Equal(mb, mustBytes(ls.MACBytes())) {
 		t.Fatal("LoginSubmit MAC leaks into MAC bytes")
 	}
 	// But the signature must be covered by the MAC bytes.
 	ls.Signature = []byte("changed")
-	if bytes.Equal(mb, ls.MACBytes()) {
+	if bytes.Equal(mb, mustBytes(ls.MACBytes())) {
 		t.Fatal("LoginSubmit signature not covered by MAC bytes")
 	}
 }
@@ -43,7 +51,7 @@ func TestSigningBytesSensitiveToEveryField(t *testing.T) {
 			Action: "act", RiskVerified: 3, RiskWindow: 12,
 		}
 	}
-	base := mk().MACBytes()
+	base := mustBytes(mk().MACBytes())
 	muts := map[string]func(*PageRequest){
 		"domain":  func(r *PageRequest) { r.Domain = "d2" },
 		"account": func(r *PageRequest) { r.Account = "a2" },
@@ -57,7 +65,7 @@ func TestSigningBytesSensitiveToEveryField(t *testing.T) {
 	for name, mut := range muts {
 		r := mk()
 		mut(r)
-		if bytes.Equal(base, r.MACBytes()) {
+		if bytes.Equal(base, mustBytes(r.MACBytes())) {
 			t.Errorf("field %s not covered by MAC bytes", name)
 		}
 	}

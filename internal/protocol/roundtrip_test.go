@@ -46,8 +46,8 @@ func TestLoginSubmitJSONRoundTripStable(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			return false
 		}
-		return bytes.Equal(m.SigningBytes(), back.SigningBytes()) &&
-			bytes.Equal(m.MACBytes(), back.MACBytes())
+		return bytes.Equal(mustBytes(m.SigningBytes()), mustBytes(back.SigningBytes())) &&
+			bytes.Equal(mustBytes(m.MACBytes()), mustBytes(back.MACBytes()))
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPageRequestJSONRoundTripStable(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			return false
 		}
-		return bytes.Equal(m.MACBytes(), back.MACBytes())
+		return bytes.Equal(mustBytes(m.MACBytes()), mustBytes(back.MACBytes()))
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRegistrationPageJSONRoundTripStable(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(m.SigningBytes(), back.SigningBytes()) {
+		if !bytes.Equal(mustBytes(m.SigningBytes()), mustBytes(back.SigningBytes())) {
 			t.Fatalf("seed %d: signing bytes changed across JSON round trip", seed)
 		}
 	}
@@ -109,7 +109,7 @@ func TestContentPageJSONRoundTripStable(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(m.MACBytes(), back.MACBytes()) {
+		if !bytes.Equal(mustBytes(m.MACBytes()), mustBytes(back.MACBytes())) {
 			t.Fatalf("seed %d: MAC bytes changed across JSON round trip", seed)
 		}
 	}

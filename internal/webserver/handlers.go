@@ -24,7 +24,7 @@ func (s *Server) ServeRegistrationPage(now time.Duration) *protocol.Registration
 		Page:       s.page(s.regURL),
 		ServerCert: s.cert.Clone(),
 	}
-	msg.Signature = s.sign(msg.SigningBytes())
+	msg.Signature = s.sign(must(msg.SigningBytes()))
 	return msg
 }
 
@@ -50,7 +50,11 @@ func (s *Server) HandleRegistration(now time.Duration, sub *protocol.Registratio
 	if err := sub.DeviceCert.Verify(s.caPub, pki.RoleFLock); err != nil {
 		return fail(fmt.Errorf("device certificate: %w", err))
 	}
-	if !ed25519.Verify(sub.DeviceCert.Key(), sub.SigningBytes(), sub.Signature) {
+	signed, err := sub.SigningBytes()
+	if err != nil {
+		return fail(fmt.Errorf("%w: %v", ErrMalformed, err))
+	}
+	if !ed25519.Verify(sub.DeviceCert.Key(), signed, sub.Signature) {
 		return fail(errors.New("submission signature invalid"))
 	}
 	nonceAge, ok := s.nonces.consumeAge(sub.Nonce, now)
@@ -112,7 +116,7 @@ func (s *Server) ServeLoginPage(now time.Duration) *protocol.LoginPage {
 		Nonce:  s.newNonce(now),
 		Page:   s.page(s.loginURL),
 	}
-	msg.Signature = s.sign(msg.SigningBytes())
+	msg.Signature = s.sign(must(msg.SigningBytes()))
 	return msg
 }
 
@@ -132,7 +136,11 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 		s.accounts.addFailure(sub.Account)
 		return nil, s.reject(ErrUnknownAccount)
 	}
-	if !ed25519.Verify(acct.PublicKey, sub.SigningBytes(), sub.Signature) {
+	signed, err := sub.SigningBytes()
+	if err != nil {
+		return nil, s.reject(fmt.Errorf("%w: %v", ErrMalformed, err))
+	}
+	if !ed25519.Verify(acct.PublicKey, signed, sub.Signature) {
 		s.accounts.addFailure(sub.Account)
 		return nil, s.reject(ErrBadSignature)
 	}
@@ -144,7 +152,11 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 	if err != nil || len(key) != pki.SessionKeySize {
 		return nil, s.reject(ErrBadKey)
 	}
-	if !pki.CheckMAC(key, sub.MACBytes(), sub.MAC) {
+	mb, err := sub.MACBytes()
+	if err != nil {
+		return nil, s.reject(fmt.Errorf("%w: %v", ErrMalformed, err))
+	}
+	if !pki.CheckMAC(key, mb, sub.MAC) {
 		return nil, s.reject(ErrBadMAC)
 	}
 	if !s.riskPolicy().ok(sub.RiskVerified, sub.RiskWindow) {
@@ -241,7 +253,11 @@ func (s *Server) verifyResume(now time.Duration, sub *protocol.ResumeSubmit) (*t
 		// binding's tickets die with it.
 		return nil, nil, s.reject(ErrBadTicket)
 	}
-	if !pki.CheckMAC(st.key, sub.MACBytes(), sub.MAC) {
+	mb, err := sub.MACBytes()
+	if err != nil {
+		return nil, nil, s.reject(fmt.Errorf("%w: %v", ErrMalformed, err))
+	}
+	if !pki.CheckMAC(st.key, mb, sub.MAC) {
 		s.accounts.addFailure(sub.Account)
 		return nil, nil, s.reject(ErrBadMAC)
 	}
@@ -290,7 +306,11 @@ func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest,
 	if sess.revoked || sess.account != req.Account {
 		return nil, s.reject(ErrUnknownSession)
 	}
-	if !sess.macState().Check(req.MACBytes(), req.MAC) {
+	mb, err := req.MACBytes()
+	if err != nil {
+		return nil, s.reject(fmt.Errorf("%w: %v", ErrMalformed, err))
+	}
+	if !sess.macState().Check(mb, req.MAC) {
 		return nil, s.reject(ErrBadMAC)
 	}
 	if subtle.ConstantTimeCompare([]byte(req.Nonce), []byte(sess.lastNonce)) != 1 {
@@ -337,7 +357,11 @@ func (s *Server) handleResync(now time.Duration, req *protocol.ResyncRequest, ne
 	if sess.revoked || sess.account != req.Account {
 		return nil, s.reject(ErrUnknownSession)
 	}
-	if !sess.macState().Check(req.MACBytes(), req.MAC) {
+	mb, err := req.MACBytes()
+	if err != nil {
+		return nil, s.reject(fmt.Errorf("%w: %v", ErrMalformed, err))
+	}
+	if !sess.macState().Check(mb, req.MAC) {
 		return nil, s.reject(ErrBadMAC)
 	}
 	if sess.seen {
@@ -365,7 +389,7 @@ func (s *Server) contentPage(sess *session, page *frame.Page, nonce protocol.Non
 		Page:      page,
 		Ticket:    ticket,
 	}
-	msg.MAC = sess.macState().MAC(msg.MACBytes())
+	msg.MAC = sess.macState().MAC(must(msg.MACBytes()))
 	return msg
 }
 
@@ -400,7 +424,8 @@ func (s *Server) HumanOriginated(req *protocol.PageRequest) bool {
 	if revoked || sess.account != req.Account {
 		return false
 	}
-	if !pki.CheckMAC(sess.key, req.MACBytes(), req.MAC) {
+	mb, err := req.MACBytes()
+	if err != nil || !pki.CheckMAC(sess.key, mb, req.MAC) {
 		return false
 	}
 	return req.RiskWindow > 0 && req.RiskVerified >= 1

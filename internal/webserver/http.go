@@ -23,7 +23,7 @@ const binaryMIME = "application/octet-stream"
 const maxBodyBytes = 1 << 20
 
 // bodyPool recycles the read buffers binary request bodies land in.
-// DecodeBinary copies every field out of the raw bytes, so a buffer can
+// protocol.Decode copies every field out of the raw bytes, so a buffer can
 // be returned to the pool as soon as decoding finishes.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -119,9 +119,11 @@ func writeResponse(w http.ResponseWriter, r *http.Request, v any) {
 	}
 }
 
-// decodeBody parses the request body into a freshly decoded *M. For
-// the binary codec the decoder's own pointer is routed straight to the
-// caller — no value copy in between.
+// decodeBody parses the request body into a freshly decoded *M. The
+// JSON transport has no wire ranges of its own, so a JSON body is also
+// run through the canonical encoder: a message the binary form could
+// not carry (an int past 2^32, say) would otherwise authenticate as a
+// truncated, different message.
 func decodeBody[M any](w http.ResponseWriter, r *http.Request) (*M, bool) {
 	// Parse the media type properly: "application/octet-stream;
 	// charset=x" must still route to the binary decoder.
@@ -134,20 +136,19 @@ func decodeBody[M any](w http.ResponseWriter, r *http.Request) (*M, bool) {
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return nil, false
 		}
-		msg, err := protocol.DecodeBinary(buf.Bytes())
+		m, err := protocol.Decode[M](buf.Bytes())
 		if err != nil {
 			http.Error(w, "bad binary body: "+err.Error(), http.StatusBadRequest)
-			return nil, false
-		}
-		m, ok := msg.(*M)
-		if !ok {
-			http.Error(w, "binary body has wrong message type", http.StatusBadRequest)
 			return nil, false
 		}
 		return m, true
 	}
 	m := new(M)
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(m); err != nil {
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	if _, err := protocol.EncodeBinary(m); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}

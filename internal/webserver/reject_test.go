@@ -49,7 +49,7 @@ func (fx *rejectFixture) resign(t *testing.T, sub *protocol.LoginSubmit) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.Signature = ed25519.Sign(rec.Keys.Private, sub.SigningBytes())
+	sub.Signature = ed25519.Sign(rec.Keys.Private, must(sub.SigningBytes()))
 }
 
 // resumeSub builds a valid resume submission for the fixture's ticket.
@@ -222,7 +222,7 @@ var rejectCases = []rejectCase{
 	{"resume", "risk", ErrRiskPolicy, func(t *testing.T, fx *rejectFixture) any {
 		sub := fx.resumeSub(t)
 		sub.RiskVerified = 0
-		sub.MAC = pki.MAC(fx.sess.Key, sub.MACBytes())
+		sub.MAC = pki.MAC(fx.sess.Key, must(sub.MACBytes()))
 		return sub
 	}},
 	{"resume", "replay", ErrBadTicket, func(t *testing.T, fx *rejectFixture) any {
@@ -263,7 +263,7 @@ var rejectCases = []rejectCase{
 	{"page", "risk", ErrRiskPolicy, func(t *testing.T, fx *rejectFixture) any {
 		req := fx.pageReq(t)
 		req.RiskVerified = 0
-		req.MAC = pki.MAC(fx.sess.Key, req.MACBytes())
+		req.MAC = pki.MAC(fx.sess.Key, must(req.MACBytes()))
 		return req
 	}},
 
@@ -480,12 +480,12 @@ func submitStream(t *testing.T, r *rig, conn io.ReadWriteCloser, msg any) string
 	if got != protocol.FrameAck {
 		t.Fatalf("answered with %s frame, want ack", got)
 	}
-	_, code, _, err := protocol.DecodeAck(payload)
+	ack, err := protocol.Decode[protocol.Ack](payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exit != nil && <-exit == nil {
 		t.Fatal("rejected opening frame left the stream serving")
 	}
-	return code
+	return ack.Code
 }

@@ -77,7 +77,7 @@ func TestHumanOriginated(t *testing.T) {
 	// A zero-verification report is not proof of humanity.
 	zero := *req
 	zero.RiskVerified = 0
-	zero.MAC = pki.MAC(sess.Key, zero.MACBytes())
+	zero.MAC = pki.MAC(sess.Key, must(zero.MACBytes()))
 	if r.server.HumanOriginated(&zero) {
 		t.Fatal("verification-free request accepted as human")
 	}
@@ -173,7 +173,7 @@ func TestManyDevicesIsolatedSessions(t *testing.T) {
 		Action:       "home",
 		RiskVerified: 12, RiskWindow: 12,
 	}
-	forged.MAC = pki.MAC(clients[0].sess.Key, forged.MACBytes())
+	forged.MAC = pki.MAC(clients[0].sess.Key, must(forged.MACBytes()))
 	if _, err := srv.HandlePageRequest(now, forged); err == nil {
 		t.Fatal("cross-session MAC accepted")
 	}

@@ -330,6 +330,16 @@ func (s *Server) sign(data []byte) []byte {
 	return ed25519.Sign(s.keys.Private, data)
 }
 
+// must unwraps the canonical bytes of a message the server built
+// itself. Its pages are built in and every other field is server-chosen
+// or already verified, so an encoding error is a bug, not an input.
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // Errors the handlers return. Every rejection a handler can produce
 // wraps exactly one of these sentinels, so clients (and the device's
 // retry layer) classify failures with errors.Is instead of string

@@ -93,6 +93,13 @@ func (sc *streamConn) writeAck(seq uint64, code, detail string) error {
 	return sc.write(protocol.FrameAck, protocol.EncodeAck(seq, code, detail))
 }
 
+// refuse answers a stream's opening frame with an error ack. The
+// connection never bound, so the ack goes straight to the socket and a
+// write error changes nothing: the caller is tearing the stream down.
+func refuse(w io.Writer, seq uint64, code, detail string) {
+	_ = protocol.WriteFrame(w, protocol.FrameAck, protocol.EncodeAck(seq, code, detail))
+}
+
 // ServeStream runs the per-connection read loop until the peer
 // disconnects, misbehaves, or sends a bye frame. It returns nil on
 // clean teardown (bye or EOF between frames) and the fatal error
@@ -120,19 +127,14 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 	var opening []byte // pre-framed welcome (plus resume content page)
 	switch ft {
 	case protocol.FrameHello:
-		msg, err := protocol.DecodeBinary(payload)
+		hello, err := protocol.Decode[protocol.StreamHello](payload)
 		if err != nil {
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, "malformed", err.Error()))
+			refuse(rwc, 0, "malformed", err.Error())
 			return err
-		}
-		hello, ok := msg.(*protocol.StreamHello)
-		if !ok {
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, "malformed", fmt.Sprintf("hello frame carries %T", msg)))
-			return fmt.Errorf("%w: hello frame carries %T", ErrMalformed, msg)
 		}
 		conn, herr := s.acceptStreamHello(rwc, hello)
 		if herr != nil {
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, wireCode(herr), herr.Error()))
+			refuse(rwc, 0, wireCode(herr), herr.Error())
 			return herr
 		}
 		if opening, err = conn.appendWelcome(opening); err != nil {
@@ -140,14 +142,14 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		}
 		sc = conn
 	case protocol.FrameResume:
-		seq, rnow, sub, err := protocol.DecodeResumeFrame(payload)
+		rf, err := protocol.Decode[protocol.ResumeFrame](payload)
 		if err != nil {
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error()))
+			refuse(rwc, protocol.FrameSeq(ft, payload), "malformed", err.Error())
 			return err
 		}
-		conn, cp, herr := s.acceptStreamResume(rwc, rnow, sub)
+		conn, cp, herr := s.acceptStreamResume(rwc, rf.Now, rf.Submit)
 		if herr != nil {
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(seq, wireCode(herr), herr.Error()))
+			refuse(rwc, rf.Seq, wireCode(herr), herr.Error())
 			return herr
 		}
 		if opening, err = conn.appendWelcome(opening); err != nil {
@@ -156,13 +158,13 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		// The resumed session's first content page (nonce chain head,
 		// fresh ticket) rides directly behind the welcome, echoing the
 		// resume frame's sequence number.
-		if opening, err = protocol.AppendPageFrame(opening, seq, 0, cp); err != nil {
+		if opening, err = protocol.AppendPageFrame(opening, rf.Seq, 0, cp); err != nil {
 			return err
 		}
-		conn.lastNow = rnow
+		conn.lastNow = rf.Now
 		sc = conn
 	default:
-		_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, "malformed", "expected hello or resume, got "+ft.String()))
+		refuse(rwc, 0, "malformed", "expected hello or resume, got "+ft.String())
 		return fmt.Errorf("%w: stream opened with %s frame", ErrMalformed, ft)
 	}
 	// Register before the opening frames go out, holding the write
@@ -191,7 +193,7 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		}
 		switch ft {
 		case protocol.FrameTouchBatch:
-			tb, err := protocol.DecodeTouchBatch(payload)
+			tb, err := protocol.Decode[protocol.TouchBatch](payload)
 			if err != nil {
 				_ = sc.writeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error())
 				return err
@@ -207,31 +209,33 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 				return err
 			}
 		case protocol.FrameResync:
-			seq, rr, err := protocol.DecodeResyncFrame(payload)
+			rf, err := protocol.Decode[protocol.ResyncFrame](payload)
 			if err != nil {
 				_ = sc.writeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error())
 				return err
 			}
-			cp, herr := s.handleResync(sc.lastNow, rr, sc.nextNonce)
+			cp, herr := s.handleResync(sc.lastNow, rf.Request, sc.nextNonce)
 			if herr != nil {
-				if err := sc.writeAck(seq, wireCode(herr), herr.Error()); err != nil {
+				if err := sc.writeAck(rf.Seq, wireCode(herr), herr.Error()); err != nil {
 					return err
 				}
 				continue
 			}
-			pp, err := protocol.EncodePageFrame(seq, 0, cp)
+			pf, err := protocol.AppendPageFrame(sc.out[:0], rf.Seq, 0, cp)
 			if err != nil {
 				return err
 			}
-			if err := sc.write(protocol.FramePage, pp); err != nil {
+			sc.out = pf[:0]
+			if err := sc.writeRaw(pf); err != nil {
 				return err
 			}
 		case protocol.FrameHeartbeat:
-			seq, now, err := protocol.DecodeHeartbeat(payload)
+			hb, err := protocol.Decode[protocol.Heartbeat](payload)
 			if err != nil {
 				_ = sc.writeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error())
 				return err
 			}
+			seq, now := hb.Seq, hb.Now
 			// Heartbeat time advances the session clock under a
 			// monotonicity contract (docs/protocol.md): backwards values
 			// are clamped — a faulted or malicious client must not move
@@ -306,7 +310,11 @@ func (s *Server) acceptStreamHello(rwc io.ReadWriteCloser, h *protocol.StreamHel
 	if !ok || sess.account != h.Account {
 		return nil, s.reject(ErrUnknownSession)
 	}
-	if !pki.CheckMAC(sess.key, h.MACBytes(), h.MAC) {
+	mb, err := h.MACBytes()
+	if err != nil {
+		return nil, s.reject(fmt.Errorf("%w: %v", ErrMalformed, err))
+	}
+	if !pki.CheckMAC(sess.key, mb, h.MAC) {
 		return nil, s.reject(ErrBadMAC)
 	}
 	sess.mu.Lock()
@@ -359,7 +367,11 @@ func (sc *streamConn) appendWelcome(out []byte) ([]byte, error) {
 		Window:      p.Window,
 		MinVerified: p.MinVerified,
 	}
-	welcome.MAC = pki.MAC(sc.sess.key, welcome.MACBytes())
+	mb, err := welcome.MACBytes()
+	if err != nil {
+		return nil, err
+	}
+	welcome.MAC = pki.MAC(sc.sess.key, mb)
 	wp, err := protocol.EncodeBinary(welcome)
 	if err != nil {
 		return nil, err
@@ -413,9 +425,13 @@ func (s *Server) pushPolicy(p RiskPolicy) {
 			MinVerified: p.MinVerified,
 			Seq:         sc.pushSeq,
 		}
-		msg.MAC = pki.MAC(sc.sess.key, msg.MACBytes())
-		if payload, err := protocol.EncodeBinary(msg); err == nil {
-			_ = protocol.WriteFrame(sc.rwc, protocol.FramePolicyPush, payload)
+		// A policy the wire cannot carry (a negative window) is not
+		// pushed; the next welcome fails the same way.
+		if mb, err := msg.MACBytes(); err == nil {
+			msg.MAC = pki.MAC(sc.sess.key, mb)
+			if payload, err := protocol.EncodeBinary(msg); err == nil {
+				_ = protocol.WriteFrame(sc.rwc, protocol.FramePolicyPush, payload)
+			}
 		}
 		sc.wmu.Unlock()
 	}

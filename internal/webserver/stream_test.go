@@ -37,13 +37,9 @@ func openStream(t *testing.T, r *rig, sess *protocol.Session) (io.ReadWriteClose
 	if ft != protocol.FrameWelcome {
 		t.Fatalf("handshake got %s frame", ft)
 	}
-	msg, err := protocol.DecodeBinary(payload)
+	w, err := protocol.Decode[protocol.StreamWelcome](payload)
 	if err != nil {
 		t.Fatal(err)
-	}
-	w, ok := msg.(*protocol.StreamWelcome)
-	if !ok {
-		t.Fatalf("welcome carries %T", msg)
 	}
 	if _, _, err := protocol.AcceptStreamWelcome(sess, w); err != nil {
 		t.Fatalf("welcome rejected by client: %v", err)
@@ -62,14 +58,14 @@ func expectAck(t *testing.T, conn io.Reader, wantCode string) uint64 {
 	if ft != protocol.FrameAck {
 		t.Fatalf("got %s frame, want ack", ft)
 	}
-	seq, code, detail, err := protocol.DecodeAck(payload)
+	ack, err := protocol.Decode[protocol.Ack](payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != wantCode {
-		t.Fatalf("ack code %q (%s), want %q", code, detail, wantCode)
+	if ack.Code != wantCode {
+		t.Fatalf("ack code %q (%s), want %q", ack.Code, ack.Detail, wantCode)
 	}
-	return seq
+	return ack.Seq
 }
 
 // metricValue reads one named column out of the server's telemetry
@@ -118,17 +114,17 @@ func TestServeStreamBatchHappyPath(t *testing.T) {
 		if ft != protocol.FramePage {
 			t.Fatalf("response %d is %s", i, ft)
 		}
-		seq, index, cp, err := protocol.DecodePageFrame(pp)
+		pf, err := protocol.Decode[protocol.PageFrame](pp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq != 1 || index != i {
-			t.Fatalf("response %d labeled %d/%d", i, seq, index)
+		if pf.Seq != 1 || pf.Index != i {
+			t.Fatalf("response %d labeled %d/%d", i, pf.Seq, pf.Index)
 		}
-		if err := r.client.AcceptContentPage(sess, cp); err != nil {
+		if err := r.client.AcceptContentPage(sess, pf.Page); err != nil {
 			t.Fatalf("response %d rejected: %v", i, err)
 		}
-		if want := protocol.StreamNonce(sess.Key, w.NonceSeed, uint64(i+1)); cp.Nonce != want {
+		if want := protocol.StreamNonce(sess.Key, w.NonceSeed, uint64(i+1)); pf.Page.Nonce != want {
 			t.Fatalf("response %d nonce off the chain", i)
 		}
 	}
@@ -222,11 +218,11 @@ func TestServeStreamDuplicateBatchIdempotent(t *testing.T) {
 	if err != nil || ft != protocol.FramePage {
 		t.Fatalf("first delivery: %s %v", ft, err)
 	}
-	_, _, cp, err := protocol.DecodePageFrame(pp)
+	pf, err := protocol.Decode[protocol.PageFrame](pp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.client.AcceptContentPage(sess, cp); err != nil {
+	if err := r.client.AcceptContentPage(sess, pf.Page); err != nil {
 		t.Fatal(err)
 	}
 
@@ -319,9 +315,9 @@ func TestServeStreamHeartbeatEcho(t *testing.T) {
 	if err != nil || ft != protocol.FrameHeartbeat {
 		t.Fatalf("echo: %s %v", ft, err)
 	}
-	seq, now, err := protocol.DecodeHeartbeat(payload)
-	if err != nil || seq != 9 || now != 4*time.Second {
-		t.Fatalf("echo payload %d %v %v", seq, now, err)
+	hb, err := protocol.Decode[protocol.Heartbeat](payload)
+	if err != nil || hb.Seq != 9 || hb.Now != 4*time.Second {
+		t.Fatalf("echo payload %+v %v", hb, err)
 	}
 }
 
@@ -430,12 +426,12 @@ func expectHeartbeatEcho(t *testing.T, ft protocol.FrameType, payload []byte, se
 	if ft != protocol.FrameHeartbeat {
 		t.Fatalf("got %s frame, want heartbeat echo", ft)
 	}
-	gotSeq, gotNow, err := protocol.DecodeHeartbeat(payload)
+	hb, err := protocol.Decode[protocol.Heartbeat](payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSeq != seq || gotNow != now {
-		t.Fatalf("echo %d/%v, want verbatim %d/%v", gotSeq, gotNow, seq, now)
+	if hb.Seq != seq || hb.Now != now {
+		t.Fatalf("echo %d/%v, want verbatim %d/%v", hb.Seq, hb.Now, seq, now)
 	}
 }
 
