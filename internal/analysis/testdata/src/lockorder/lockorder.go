@@ -8,6 +8,8 @@ import (
 	"net"
 	"os"
 	"sync"
+
+	"trust/internal/protocol"
 )
 
 // shard mirrors a store shard: rank 10, block-sensitive.
@@ -76,6 +78,14 @@ func WriteUnderSession(sess *session, conn net.Conn, payload []byte) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	conn.Write(payload) // want "interface Write \\(potential socket I/O\\) while holding lockorder\\.session\\.mu"
+}
+
+// FrameUnderSession waits for the peer's next frame while holding a
+// session lock: the frame reader's method is in the blocking table.
+func FrameUnderSession(sess *session, fr *protocol.FrameReader) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	fr.Next() // want "frame read while holding lockorder\\.session\\.mu"
 }
 
 // SendUnderShard performs a channel send while holding a shard lock.

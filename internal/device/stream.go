@@ -1,7 +1,6 @@
 package device
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -122,7 +121,7 @@ func (t *Stream) BindSession(sess *protocol.Session) {
 // BindSession then finishes the verification and promotes it.
 type opening struct {
 	rwc io.ReadWriteCloser
-	br  *bufio.Reader
+	fr  *protocol.FrameReader
 	w   *protocol.StreamWelcome
 }
 
@@ -142,8 +141,7 @@ func (t *Stream) clearPending() {
 // frame (a hello or a resume), then read the server's answer — the
 // welcome, or an ack carrying the typed rejection. All reads on the
 // connection, the welcome here and every frame the read loop consumes
-// later, share one buffered reader, halving the syscall count of
-// ReadFrame's header+payload read pairs. Every failure closes the
+// later, share one protocol.FrameReader. Every failure closes the
 // connection.
 func (t *Stream) open(ft protocol.FrameType, payload []byte) (*opening, error) {
 	scope := "stream"
@@ -158,15 +156,15 @@ func (t *Stream) open(ft protocol.FrameType, payload []byte) (*opening, error) {
 		rwc.Close()
 		return nil, fmt.Errorf("%w: stream %s: %v", ErrNetwork, ft, err)
 	}
-	br := bufio.NewReaderSize(rwc, 32<<10)
-	answer, p, err := protocol.ReadFrame(br)
+	fr := protocol.NewFrameReader(rwc)
+	answer, p, err := fr.Next()
 	switch {
 	case err != nil:
 		err = fmt.Errorf("%w: %s welcome: %v", ErrNetwork, scope, err)
 	case answer == protocol.FrameWelcome:
 		var w *protocol.StreamWelcome
 		if w, err = protocol.Decode[protocol.StreamWelcome](p); err == nil {
-			return &opening{rwc: rwc, br: br, w: w}, nil
+			return &opening{rwc: rwc, fr: fr, w: w}, nil
 		}
 	case answer == protocol.FrameAck:
 		var ack *protocol.Ack
@@ -197,7 +195,7 @@ func (t *Stream) adoptLocked(o *opening, sess *protocol.Session, nextSeq uint64)
 	seed := append([]byte(nil), o.w.NonceSeed...)
 	c := &streamClientConn{
 		rwc:      o.rwc,
-		br:       o.br,
+		fr:       o.fr,
 		chain:    protocol.NewNonceChain(sess.Key, seed),
 		sess:     sess,
 		seed:     seed,
@@ -233,7 +231,7 @@ func (t *Stream) SubmitResume(now time.Duration, sub *protocol.ResumeSubmit) (*p
 	if err != nil {
 		return nil, err
 	}
-	ft, p, err := protocol.ReadFrame(o.br)
+	ft, p, err := o.fr.Next()
 	if err != nil {
 		o.rwc.Close()
 		return nil, fmt.Errorf("%w: stream resume page: %v", ErrNetwork, err)
@@ -431,8 +429,8 @@ func (t *Stream) downgraded() bool {
 // connection rather than risk pairing a response with the wrong touch.
 type streamClientConn struct {
 	rwc      io.ReadWriteCloser
-	br       *bufio.Reader        // buffers rwc; read-loop goroutine only
-	chain    *protocol.NonceChain // nonce prediction; device goroutine only
+	fr       *protocol.FrameReader // reads rwc; read-loop goroutine only
+	chain    *protocol.NonceChain  // nonce prediction; device goroutine only
 	sess     *protocol.Session
 	seed     []byte // the welcome's nonce-chain seed
 	onPolicy func(window, minVerified int)
@@ -588,7 +586,7 @@ func (c *streamClientConn) ping(now time.Duration) error {
 // the connection dies.
 func (c *streamClientConn) readLoop() {
 	for {
-		ft, payload, err := protocol.ReadFrame(c.br)
+		ft, payload, err := c.fr.Next()
 		if err != nil {
 			c.fail(fmt.Errorf("stream read: %w", err))
 			return

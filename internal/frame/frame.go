@@ -10,11 +10,11 @@
 package frame
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"time"
 
 	"trust/internal/geom"
@@ -73,27 +73,50 @@ type Page struct {
 // both device and server render from, so both ends derive identical
 // frames for identical views.
 func (p *Page) Canonical() []byte {
-	var buf bytes.Buffer
-	wr := func(s string) {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(s)))
-		buf.Write(l[:])
-		buf.WriteString(s)
-	}
-	wr(p.URL)
-	wr(p.Title)
-	wr(p.Body)
-	var h [8]byte
-	binary.BigEndian.PutUint64(h[:], uint64(p.HeightPX))
-	buf.Write(h[:])
+	return p.appendCanonical(make([]byte, 0, p.canonicalSizeHint()))
+}
+
+// appendCanonical appends the canonical encoding to b. Numbers are
+// formatted with strconv rather than fmt: this runs for every
+// displayed frame.
+func (p *Page) appendCanonical(b []byte) []byte {
+	b = appendLenString(b, p.URL)
+	b = appendLenString(b, p.Title)
+	b = appendLenString(b, p.Body)
+	b = binary.BigEndian.AppendUint64(b, uint64(p.HeightPX))
 	for _, e := range p.Elements {
-		wr(e.ID)
-		wr(e.Label)
-		wr(e.Action)
-		fmt.Fprintf(&buf, "|%d|%.1f,%.1f,%.1f,%.1f;",
-			int(e.Kind), e.Bounds.Min.X, e.Bounds.Min.Y, e.Bounds.Max.X, e.Bounds.Max.Y)
+		b = appendLenString(b, e.ID)
+		b = appendLenString(b, e.Label)
+		b = appendLenString(b, e.Action)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(e.Kind), 10)
+		b = append(b, '|')
+		b = strconv.AppendFloat(b, e.Bounds.Min.X, 'f', 1, 64)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, e.Bounds.Min.Y, 'f', 1, 64)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, e.Bounds.Max.X, 'f', 1, 64)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, e.Bounds.Max.Y, 'f', 1, 64)
+		b = append(b, ';')
 	}
-	return buf.Bytes()
+	return b
+}
+
+// canonicalSizeHint estimates the canonical encoding's length, so it
+// is built without regrowing.
+func (p *Page) canonicalSizeHint() int {
+	n := 12 + len(p.URL) + len(p.Title) + len(p.Body) + 8
+	for _, e := range p.Elements {
+		n += 12 + len(e.ID) + len(e.Label) + len(e.Action) + 32
+	}
+	return n
+}
+
+// appendLenString appends s prefixed by its 4-byte big-endian length.
+func appendLenString(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
 // Clone deep-copies the page (malware models mutate copies).
@@ -170,10 +193,13 @@ func (v View) ScreenToPage(pt geom.Point) geom.Point {
 // (page, view) pairs produce identical bytes on device and server, and
 // any content tampering changes them.
 func Render(p *Page, v View) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "FRAME z=%.2f s=%.1f\n", v.Zoom, v.ScrollY)
-	buf.Write(p.Canonical())
-	return buf.Bytes()
+	b := make([]byte, 0, 32+p.canonicalSizeHint())
+	b = append(b, "FRAME z="...)
+	b = strconv.AppendFloat(b, v.Zoom, 'f', 2, 64)
+	b = append(b, " s="...)
+	b = strconv.AppendFloat(b, v.ScrollY, 'f', 1, 64)
+	b = append(b, '\n')
+	return p.appendCanonical(b)
 }
 
 // Hash is a frame digest. The paper mentions MD5 or SHA-256; this

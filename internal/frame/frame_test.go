@@ -1,6 +1,10 @@
 package frame
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -41,6 +45,61 @@ func TestCanonicalSensitiveToContent(t *testing.T) {
 	b.Elements[1].Label = "Transfer $1000"
 	if string(a.Canonical()) == string(b.Canonical()) {
 		t.Fatal("content change not reflected in canonical bytes")
+	}
+}
+
+// fmtRender is the fmt-based Render (and Canonical) that the strconv
+// form replaced; frame hashes, and with them every artifact, depend on
+// the two staying byte-identical.
+func fmtRender(p *Page, v View) []byte {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "FRAME z=%.2f s=%.1f\n", v.Zoom, v.ScrollY)
+	wr := func(s string) {
+		var l [4]byte
+		binary.BigEndian.PutUint32(l[:], uint32(len(s)))
+		buf.Write(l[:])
+		buf.WriteString(s)
+	}
+	wr(p.URL)
+	wr(p.Title)
+	wr(p.Body)
+	var h [8]byte
+	binary.BigEndian.PutUint64(h[:], uint64(p.HeightPX))
+	buf.Write(h[:])
+	for _, e := range p.Elements {
+		wr(e.ID)
+		wr(e.Label)
+		wr(e.Action)
+		fmt.Fprintf(&buf, "|%d|%.1f,%.1f,%.1f,%.1f;",
+			int(e.Kind), e.Bounds.Min.X, e.Bounds.Min.Y, e.Bounds.Max.X, e.Bounds.Max.Y)
+	}
+	return buf.Bytes()
+}
+
+func TestRenderMatchesFmtForm(t *testing.T) {
+	odd := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		0.05, 0.15, 0.25, -0.05, 1.45, 2.675, 1e21, -1e-7, 123456.789, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	pages := []*Page{loginPage(), longPage(), {}}
+	for i, f := range odd {
+		p := loginPage()
+		p.Elements = append(p.Elements, Element{
+			ID: "odd", Kind: ElementKind(i - 3), Label: "x",
+			Bounds: geom.Rect{Min: geom.Point{X: f, Y: -f}, Max: geom.Point{X: odd[(i+1)%len(odd)], Y: odd[(i+2)%len(odd)]}},
+		})
+		pages = append(pages, p)
+	}
+	for _, p := range pages {
+		for _, z := range odd {
+			v := View{Zoom: z, ScrollY: -z}
+			if got, want := Render(p, v), fmtRender(p, v); !bytes.Equal(got, want) {
+				t.Fatalf("Render(%+v) differs from fmt form:\n got %q\nwant %q", v, got, want)
+			}
+		}
+		want := fmtRender(p, View{})
+		want = want[bytes.IndexByte(want, '\n')+1:]
+		if got := p.Canonical(); !bytes.Equal(got, want) {
+			t.Fatalf("Canonical differs from fmt form:\n got %q\nwant %q", got, want)
+		}
 	}
 }
 

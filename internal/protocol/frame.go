@@ -137,28 +137,147 @@ func AppendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
 	return append(append(dst, hdr[:]...), payload...), nil
 }
 
-// ReadFrame reads one frame from r. The returned payload is freshly
-// allocated and owned by the caller. Oversized length prefixes fail
-// before any payload is read, so a corrupted header cannot make the
-// reader buffer unbounded garbage.
+// parseFrameHeader splits a frame header into its type and payload
+// length, refusing a length over MaxFramePayload before any payload is
+// read, so a corrupted header cannot make a reader buffer unbounded
+// garbage.
+func parseFrameHeader(hdr []byte) (FrameType, int, error) {
+	t := FrameType(hdr[0])
+	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	if n > MaxFramePayload {
+		return 0, 0, fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, n, MaxFramePayload)
+	}
+	return t, n, nil
+}
+
+// truncatedPayload reports a connection that ended or failed inside a
+// frame's payload; cause is what io.ReadFull would say about it.
+func truncatedPayload(t FrameType, cause error) error {
+	return fmt.Errorf("%w: truncated %s payload: %v", ErrFrame, t, cause)
+}
+
+// ReadFrame reads one frame from r with exact-size reads. The returned
+// payload is freshly allocated and owned by the caller. Stream read
+// loops use a FrameReader instead, which buffers and lends payloads.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	t := FrameType(hdr[0])
-	n := int(binary.BigEndian.Uint32(hdr[1:]))
-	if n > MaxFramePayload {
-		return 0, nil, fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, n, MaxFramePayload)
+	t, n, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
 	if n == 0 {
 		return t, nil, nil
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated %s payload: %v", ErrFrame, t, err)
+		return 0, nil, truncatedPayload(t, err)
 	}
 	return t, payload, nil
+}
+
+// FrameReader buffer bounds: the start size, and the most a
+// connection keeps once its buffer is drained.
+const (
+	frameBufMin = 4 << 10
+	frameBufMax = 32 << 10
+)
+
+// FrameReader reads a stream of frames through one buffer per
+// connection. The buffer starts at 4 KiB and doubles when the frame
+// being read does not fit, or — up to 32 KiB — when a single Read
+// filled all its free space, so a peer's coalesced batch answer keeps
+// arriving in one syscall. It grows only as bytes arrive: a header
+// announcing a 1 MiB payload costs nothing until the payload does.
+// A buffer grown past 32 KiB is dropped once drained.
+//
+// Next returns the same frames and errors as consecutive ReadFrame
+// calls on the same bytes. A FrameReader is not safe for concurrent
+// use.
+type FrameReader struct {
+	rd         io.Reader
+	buf        []byte
+	start, end int   // buffered bytes are buf[start:end]
+	full       bool  // the last Read filled all free space
+	err        error // sticky: the Read error that ended the stream
+}
+
+// NewFrameReader returns a FrameReader reading from rd.
+func NewFrameReader(rd io.Reader) *FrameReader { return &FrameReader{rd: rd} }
+
+// Next reads one frame. The payload is borrowed from the reader's
+// buffer and valid only until the next call; Decode copies every field
+// out, so decoding it before reading on is enough. An empty payload is
+// nil. A peer gone between frames is io.EOF, one gone inside a header
+// io.ErrUnexpectedEOF, and one gone inside a payload ErrFrame, exactly
+// as from ReadFrame.
+func (r *FrameReader) Next() (FrameType, []byte, error) {
+	if r.start == r.end && cap(r.buf) > frameBufMax {
+		r.buf, r.start, r.end = nil, 0, 0
+	}
+	for r.end-r.start < frameHeaderLen {
+		if r.err != nil {
+			return 0, nil, r.short(r.end - r.start)
+		}
+		r.fill(frameHeaderLen)
+	}
+	t, n, err := parseFrameHeader(r.buf[r.start:])
+	if err != nil {
+		return 0, nil, err
+	}
+	need := frameHeaderLen + n
+	for r.end-r.start < need {
+		if r.err != nil {
+			return 0, nil, truncatedPayload(t, r.short(r.end-r.start-frameHeaderLen))
+		}
+		r.fill(need)
+	}
+	payload := r.buf[r.start+frameHeaderLen : r.start+need : r.start+need]
+	r.start += need
+	if n == 0 {
+		payload = nil
+	}
+	return t, payload, nil
+}
+
+// short reports the stream's end the way io.ReadFull does after got
+// bytes of a field: io.EOF only when the field had not begun.
+func (r *FrameReader) short(got int) error {
+	if r.err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return r.err
+}
+
+// fill makes room for a frame of need bytes and issues one Read.
+func (r *FrameReader) fill(need int) {
+	if r.start == r.end {
+		r.start, r.end = 0, 0
+	}
+	if r.start > 0 && (r.start+need > len(r.buf) || r.end == len(r.buf)) {
+		r.end = copy(r.buf, r.buf[r.start:r.end])
+		r.start = 0
+	}
+	switch {
+	case r.buf == nil:
+		r.buf = make([]byte, frameBufMin)
+	case r.end == len(r.buf), r.full && len(r.buf) < frameBufMax:
+		grown := 2 * len(r.buf)
+		if grown > frameBufMax && grown > need {
+			grown = max(need, frameBufMax)
+		}
+		buf := make([]byte, grown)
+		r.end = copy(buf, r.buf[r.start:r.end])
+		r.buf, r.start = buf, 0
+	}
+	n, err := r.rd.Read(r.buf[r.end:])
+	r.full = n == len(r.buf)-r.end
+	r.end += n
+	if err != nil {
+		r.err = err
+	}
 }
 
 // Frame payloads. Each seq-bearing frame's payload is one of these

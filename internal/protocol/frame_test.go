@@ -334,3 +334,173 @@ func TestFrameSeq(t *testing.T) {
 		t.Errorf("FrameSeq on nil payload = %#x, want 0", got)
 	}
 }
+
+// frames concatenates whole frames, one per payload, all of type t.
+func frames(t FrameType, payloads ...[]byte) []byte {
+	var out []byte
+	for _, p := range payloads {
+		out, _ = AppendFrame(out, t, p)
+	}
+	return out
+}
+
+// TestFrameReaderErrors pins how a stream ends: the error after the
+// last whole frame is the one ReadFrame reports on the same bytes.
+func TestFrameReaderErrors(t *testing.T) {
+	two := frames(FrameAck, []byte("one"), nil)
+	hdr := []byte{byte(FramePage), 0, 0, 0, 10}
+	cases := []struct {
+		name   string
+		in     []byte
+		frames int
+		want   error
+	}{
+		{"empty stream", nil, 0, io.EOF},
+		{"EOF between frames", two, 2, io.EOF},
+		{"EOF mid-header", append(append([]byte(nil), two...), hdr[:3]...), 2, io.ErrUnexpectedEOF},
+		{"EOF after header", hdr, 0, ErrFrame},
+		{"truncated payload", append(append([]byte(nil), hdr...), 1, 2, 3, 4), 0, ErrFrame},
+		{"oversized payload", []byte{byte(FramePage), 0xff, 0xff, 0xff, 0xff, 1, 2}, 0, ErrFrame},
+	}
+	for _, tc := range cases {
+		fr := NewFrameReader(bytes.NewReader(tc.in))
+		var err error
+		n := 0
+		for ; ; n++ {
+			if _, _, err = fr.Next(); err != nil {
+				break
+			}
+		}
+		if n != tc.frames || !errors.Is(err, tc.want) {
+			t.Errorf("%s: %d frames then %v, want %d then %v", tc.name, n, err, tc.frames, tc.want)
+		}
+		if _, err2 := readFrames(bytes.NewReader(tc.in)); err2.Error() != err.Error() {
+			t.Errorf("%s: Next says %q, ReadFrame %q", tc.name, err, err2)
+		}
+		if cap(fr.buf) > frameBufMin {
+			t.Errorf("%s: buffer grew to %d bytes", tc.name, cap(fr.buf))
+		}
+	}
+}
+
+// readFrames reads r to its end with ReadFrame, returning the frame
+// count and the error that ended it.
+func readFrames(r io.Reader) (int, error) {
+	for n := 0; ; n++ {
+		if _, _, err := ReadFrame(r); err != nil {
+			return n, err
+		}
+	}
+}
+
+// TestFrameReaderGrowsWithArrivals checks the allocation is bounded by
+// bytes received, not bytes announced: a header claiming the maximum
+// payload, followed by a trickle, leaves the buffer at its start size.
+func TestFrameReaderGrowsWithArrivals(t *testing.T) {
+	in := []byte{byte(FramePage), 0, 0x10, 0, 0} // 1 MiB announced
+	in = append(in, make([]byte, 100)...)
+	fr := NewFrameReader(bytes.NewReader(in))
+	if _, _, err := fr.Next(); !errors.Is(err, ErrFrame) {
+		t.Fatalf("truncated 1 MiB frame: %v", err)
+	}
+	if cap(fr.buf) != frameBufMin {
+		t.Fatalf("buffer %d bytes after a 105-byte stream, want %d", cap(fr.buf), frameBufMin)
+	}
+}
+
+// TestFrameReaderDropsLargeBuffer reads a maximum-size frame followed
+// by small frames: the buffer the large frame needed is dropped once
+// drained, so the connection keeps at most frameBufMax.
+func TestFrameReaderDropsLargeBuffer(t *testing.T) {
+	big := bytes.Repeat([]byte{0xab}, MaxFramePayload)
+	small := [][]byte{[]byte("a"), []byte("bb"), nil, []byte("dddd")}
+	in := append(frames(FramePage, big), frames(FrameAck, small...)...)
+	fr := NewFrameReader(bytes.NewReader(in))
+	ft, p, err := fr.Next()
+	if err != nil || ft != FramePage || !bytes.Equal(p, big) {
+		t.Fatalf("large frame: %s %d bytes %v", ft, len(p), err)
+	}
+	for i, want := range small {
+		ft, p, err := fr.Next()
+		if err != nil || ft != FrameAck || !bytes.Equal(p, want) {
+			t.Fatalf("small frame %d: %s %q %v", i, ft, p, err)
+		}
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("end of stream: %v", err)
+	}
+	if cap(fr.buf) > frameBufMax {
+		t.Fatalf("retained %d bytes after draining, want <= %d", cap(fr.buf), frameBufMax)
+	}
+}
+
+// batchReader serves an endless sequence of copies of one batch, never
+// more than one batch per Read — a peer answering one request at a time
+// — and counts the Read calls.
+type batchReader struct {
+	batch []byte
+	off   int
+	reads int
+}
+
+func (r *batchReader) Read(p []byte) (int, error) {
+	r.reads++
+	n := copy(p, r.batch[r.off:])
+	r.off = (r.off + n) % len(r.batch)
+	return n, nil
+}
+
+// TestFrameReaderCoalescedBatchOneRead checks that a coalesced
+// 16-page answer, once the buffer has grown to fit it, arrives in one
+// Read per batch.
+func TestFrameReaderCoalescedBatchOneRead(t *testing.T) {
+	var batch []byte
+	for i := 0; i < 16; i++ {
+		var err error
+		if batch, err = AppendPageFrame(batch, 1, i, testContentPage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch = append(batch, frames(FrameAck, bytes.Repeat([]byte{1}, 16<<10))...)
+	r := &batchReader{batch: batch}
+	fr := NewFrameReader(r)
+	readBatch := func() {
+		for i := 0; i < 17; i++ {
+			if _, _, err := fr.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		readBatch()
+	}
+	before := r.reads
+	const batches = 10
+	for i := 0; i < batches; i++ {
+		readBatch()
+	}
+	if got := r.reads - before; got != batches {
+		t.Fatalf("%d-byte batches took %d reads for %d batches", len(batch), got, batches)
+	}
+	if cap(fr.buf) > frameBufMax {
+		t.Fatalf("buffer %d bytes, want <= %d", cap(fr.buf), frameBufMax)
+	}
+}
+
+// TestFrameReaderZeroAlloc pins the steady-state read path to zero
+// allocations: small frames are lent from the connection's buffer.
+func TestFrameReaderZeroAlloc(t *testing.T) {
+	r := &batchReader{batch: frames(FrameHeartbeat, EncodeHeartbeat(1, time.Second), EncodeHeartbeat(2, 2*time.Second))}
+	fr := NewFrameReader(r)
+	if _, _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next = %v allocs/op, want 0", allocs)
+	}
+}

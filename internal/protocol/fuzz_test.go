@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -110,5 +111,100 @@ func FuzzDecodePayload(f *testing.F) {
 	addGoldenSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecoders(t, data, payloadDecoders)
+	})
+}
+
+// chunkReader hands out data in chunks whose sizes cycle through split,
+// then io.EOF. A split byte b gives (b%64+1) << (5*(b/64)) bytes, so one
+// fuzz input mixes 1-byte dribbles with reads of tens of KiB.
+type chunkReader struct {
+	data, split []byte
+	i           int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if len(r.split) > 0 {
+		b := r.split[r.i%len(r.split)]
+		r.i++
+		n = min(n, (int(b)%64+1)<<(5*(b/64)))
+	}
+	n = copy(p, r.data[:min(n, len(r.data))])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// frameReaderAllocFactor bounds the frame reader's allocation per input
+// byte, plus decodeAllocSlack for its start buffer and error value: its
+// buffer doubles only when full of received bytes.
+const frameReaderAllocFactor = 4
+
+// FuzzFrameReader reads arbitrary bytes, split into fuzz-chosen chunk
+// sizes, with a FrameReader and with ReadFrame. Both must yield the same
+// frames and the same closing error, and the FrameReader's allocation
+// must stay bounded by the bytes received, whatever lengths the headers
+// announce. Run `go test -fuzz FuzzFrameReader ./internal/protocol/`
+// to search.
+func FuzzFrameReader(f *testing.F) {
+	var stream []byte
+	stream, _ = AppendFrame(stream, FrameHeartbeat, EncodeHeartbeat(1, 2))
+	stream, _ = AppendFrame(stream, FrameBye, nil)
+	stream, _ = AppendPageFrame(stream, 3, 0, testContentPage())
+	f.Add(stream, []byte{})
+	f.Add(stream, []byte{0, 1, 2, 255})
+	f.Add(stream[:len(stream)-4], []byte{7})
+	f.Add([]byte{byte(FramePage), 0, 0x10, 0, 0, 1, 2, 3}, []byte{200})
+	f.Add([]byte{byte(FramePage), 0xff, 0xff, 0xff, 0xff}, []byte{1})
+	large, _ := AppendFrame(nil, FramePage, bytes.Repeat([]byte{0x5a}, 40<<10))
+	large = append(large, stream...)
+	f.Add(large, []byte{255})
+	f.Add(large, []byte{130, 63, 191})
+	f.Fuzz(func(t *testing.T, data, split []byte) {
+		type frame struct {
+			t       FrameType
+			payload []byte
+		}
+		var want []frame
+		r := &chunkReader{data: data, split: split}
+		var wantErr error
+		for {
+			ft, p, err := ReadFrame(r)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, frame{ft, p})
+		}
+
+		var before, after runtime.MemStats
+		r = &chunkReader{data: data, split: split}
+		mismatch := -1
+		runtime.ReadMemStats(&before)
+		fr := NewFrameReader(r)
+		n := 0
+		var err error
+		for ; ; n++ {
+			var ft FrameType
+			var p []byte
+			if ft, p, err = fr.Next(); err != nil {
+				break
+			}
+			if mismatch < 0 && (n >= len(want) || ft != want[n].t || !bytes.Equal(p, want[n].payload)) {
+				mismatch = n
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(frameReaderAllocFactor*len(data)+decodeAllocSlack); alloc > limit {
+			t.Fatalf("reading %d bytes allocated %d bytes, limit %d", len(data), alloc, limit)
+		}
+		if mismatch >= 0 || n != len(want) {
+			t.Fatalf("FrameReader read %d frames (first mismatch %d), ReadFrame %d", n, mismatch, len(want))
+		}
+		if err.Error() != wantErr.Error() || errors.Is(err, ErrFrame) != errors.Is(wantErr, ErrFrame) {
+			t.Fatalf("FrameReader ended with %v, ReadFrame with %v", err, wantErr)
+		}
 	})
 }

@@ -1,7 +1,6 @@
 package webserver
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -109,17 +108,17 @@ func refuse(w io.Writer, seq uint64, code, detail string) {
 func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 	defer rwc.Close()
 
-	// All frame reads go through one buffered reader: ReadFrame issues
-	// two reads per frame (header, payload), and on a raw socket each
-	// would be its own syscall.
-	br := bufio.NewReaderSize(rwc, 32<<10)
+	// All frame reads go through one frame reader: a small buffer that
+	// grows only while frames or coalesced reads need it, lending each
+	// payload until the next frame is read.
+	fr := protocol.NewFrameReader(rwc)
 
 	// The first frame must bind the connection to a session: a hello
 	// proving an established session's key, or a resume presenting a
 	// ticket (which creates the session right here, saving the resumed
 	// login an HTTP round trip). Anything else is a protocol violation
 	// answered with a malformed ack.
-	ft, payload, err := protocol.ReadFrame(br)
+	ft, payload, err := fr.Next()
 	if err != nil {
 		return err
 	}
@@ -181,7 +180,7 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 	}
 
 	for {
-		ft, payload, err := protocol.ReadFrame(br)
+		ft, payload, err := fr.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				// The peer vanished between frames: normal teardown for a
