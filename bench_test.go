@@ -1,6 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper (one
-// bench per artifact, per DESIGN.md section 4) plus the ablation
-// experiments. Each iteration rebuilds the artifact from scratch, so
+// Benchmarks regenerating every table and figure of the paper plus the
+// extension experiments (one sub-benchmark per artifact, per DESIGN.md
+// section 4). Each iteration rebuilds the artifact from scratch, so
 // ns/op measures the full simulation cost; the artifact text itself is
 // attached via b.Log on the first iteration (visible with -v) and via
 // cmd/benchtab.
@@ -15,198 +15,35 @@ import (
 	"trust/internal/harness"
 )
 
-// benchArtifact runs a generator b.N times and sanity-checks it.
-func benchArtifact(b *testing.B, gen func() (harness.Result, error)) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := gen()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			// Rendering the artifact into the log is not part of the
-			// simulation cost being measured.
-			b.StopTimer()
-			b.Log("\n" + r.String())
-			b.StartTimer()
-		}
+// BenchmarkArtifacts regenerates every harness.Experiments entry as
+// one sub-benchmark named by its Bench field, the same name its row
+// carries in BENCH_harness.json.
+func BenchmarkArtifacts(b *testing.B) {
+	for _, e := range harness.Experiments {
+		b.Run(e.Bench, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run(harness.Seed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					// Rendering the artifact into the log is not part of
+					// the simulation cost being measured.
+					b.StopTimer()
+					b.Log("\n" + r.String())
+					b.StartTimer()
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkTable1 regenerates Table I: the three authentication
-// approaches compared (E1).
-func BenchmarkTable1(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Table1(harness.Seed) })
-}
-
-// BenchmarkTable2 regenerates Table II: sensor designs and simulated
-// responses (E2).
-func BenchmarkTable2(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Table2() })
-}
-
-// BenchmarkFig1 regenerates the touchscreen sensing experiment (E3).
-func BenchmarkFig1(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig1(harness.Seed) })
-}
-
-// BenchmarkFig2 regenerates the TFT cell-array imaging experiment (E4).
-func BenchmarkFig2(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig2(harness.Seed) })
-}
-
-// BenchmarkFig3 regenerates the sensing-technology comparison (E5).
-func BenchmarkFig3(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig3() })
-}
-
-// BenchmarkFig4 regenerates the readout-architecture ablation (E6).
-func BenchmarkFig4(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig4(harness.Seed) })
-}
-
-// BenchmarkFig5 regenerates the FLock end-to-end latency/energy
-// experiment (E7).
-func BenchmarkFig5(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig5(harness.Seed) })
-}
-
-// BenchmarkFig6 regenerates the opportunistic-authentication pipeline
-// funnel (E8).
-func BenchmarkFig6(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig6(harness.Seed) })
-}
-
-// BenchmarkFig7 regenerates the three users' touch distributions (E9).
-func BenchmarkFig7(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig7(harness.Seed) })
-}
-
-// BenchmarkFig8 regenerates the multi-server/multi-device component
-// matrix (E10).
-func BenchmarkFig8(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig8(harness.Seed) })
-}
-
-// BenchmarkFig9 regenerates the registration protocol transcript with
-// the tamper matrix (E11).
-func BenchmarkFig9(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig9(harness.Seed) })
-}
-
-// BenchmarkFig10 regenerates the continuous-authentication protocol
-// transcript (E12).
-func BenchmarkFig10(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.Fig10(harness.Seed) })
-}
-
-// BenchmarkPlacement regenerates the coverage-vs-sensors sweep (X1).
-func BenchmarkPlacement(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XPlacement(harness.Seed) })
-}
-
-// BenchmarkWindowPolicy regenerates the k-of-n policy sweep (X2).
-func BenchmarkWindowPolicy(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XWindow(harness.Seed) })
-}
-
-// BenchmarkAttacks regenerates the security attack suite (X3).
-func BenchmarkAttacks(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XAttacks(harness.Seed) })
-}
-
-// BenchmarkEnergy regenerates the opportunistic-vs-always-on energy
-// comparison (X4).
-func BenchmarkEnergy(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XEnergy(harness.Seed) })
-}
-
-// BenchmarkFrameAudit regenerates the frame-hash audit scaling (X5).
-func BenchmarkFrameAudit(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XFrameAudit(harness.Seed) })
-}
-
-// BenchmarkTransfer regenerates the identity transfer/reset flows (X6).
-func BenchmarkTransfer(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XTransfer(harness.Seed) })
-}
-
-// BenchmarkFuzzyVault regenerates the fuzzy-vault comparison (X7).
-func BenchmarkFuzzyVault(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XFuzzyVault(harness.Seed) })
-}
-
-// BenchmarkModalities regenerates the keystroke-vs-fingerprint
-// comparison (X8).
-func BenchmarkModalities(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XModalities(harness.Seed) })
-}
-
-// BenchmarkHijack regenerates the session-hijack window comparison
-// (X9).
-func BenchmarkHijack(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XHijack(harness.Seed) })
-}
-
-// BenchmarkImagePipeline regenerates the CV-vs-statistical extraction
-// validation (X10).
-func BenchmarkImagePipeline(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XImagePipeline(harness.Seed) })
-}
-
-// BenchmarkAdaptation regenerates the template-aging experiment (X11).
-func BenchmarkAdaptation(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XAdaptation(harness.Seed) })
-}
-
-// BenchmarkNoise regenerates the comparator-noise robustness sweep
-// (X12).
-func BenchmarkNoise(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XNoise(harness.Seed) })
-}
-
-// BenchmarkPersonalization regenerates the placement personalization
-// comparison (X13).
-func BenchmarkPersonalization(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XPersonalization(harness.Seed) })
-}
-
-// BenchmarkChaos regenerates the lossy-network chaos sweep (X14).
-func BenchmarkChaos(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XChaos(harness.Seed) })
-}
-
-// BenchmarkStreamChaos regenerates the streamed-transport chaos sweep
-// (X14b): mid-frame cuts and torn writes vs retry budget.
-func BenchmarkStreamChaos(b *testing.B) {
-	benchArtifact(b, func() (harness.Result, error) { return harness.XStreamChaos(harness.Seed) })
 }
 
 // BenchmarkTrustlint measures the wall time of the full static-analysis
-// sweep (cmd/trustlint over every package in the module) with the
-// package-list cache warm, so analyzer cost is tracked in
-// BENCH_harness.json like the artifact generators.
+// sweep (cmd/trustlint over every package in the module), so analyzer
+// cost is tracked in BENCH_harness.json like the artifact generators.
 func BenchmarkTrustlint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		findings, err := analysis.Lint(".", "./...")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(findings) > 0 {
-			b.Fatalf("tree has %d trustlint finding(s); run go run ./cmd/trustlint ./...", len(findings))
-		}
-	}
-}
-
-// BenchmarkTrustlintColdList is the same sweep with the package-list
-// cache dropped every iteration, so each run pays the full
-// `go list -export -deps -test -json` enumeration — the first-run cost
-// a fresh trustlint process sees. The gap to BenchmarkTrustlint is what
-// the cache buys.
-func BenchmarkTrustlintColdList(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		analysis.ResetListCache()
 		findings, err := analysis.Lint(".", "./...")
 		if err != nil {
 			b.Fatal(err)

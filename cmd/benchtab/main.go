@@ -34,11 +34,22 @@ import (
 )
 
 func main() {
+	// An extension experiment's -x name is its artifact ID without the
+	// "x-" prefix and hyphens ("x-stream-chaos" is "streamchaos").
+	exts := map[string]harness.Experiment{}
+	var extNames []string
+	for _, e := range harness.Experiments {
+		if name, ok := strings.CutPrefix(e.ID, "x-"); ok {
+			name = strings.ReplaceAll(name, "-", "")
+			exts[name] = e
+			extNames = append(extNames, name)
+		}
+	}
 	var (
 		all        = flag.Bool("all", false, "regenerate every table and figure")
 		table      = flag.Int("table", 0, "regenerate Table N (1 or 2)")
 		fig        = flag.Int("fig", 0, "regenerate Figure N (1..10)")
-		ext        = flag.String("x", "", "extension experiment: placement|window|attacks|energy|frameaudit|transfer|fuzzyvault|modalities|hijack|imagepipeline|adaptation|noise|personalization|chaos")
+		ext        = flag.String("x", "", "extension experiment: "+strings.Join(extNames, "|"))
 		seed       = flag.Uint64("seed", harness.Seed, "deterministic experiment seed")
 		out        = flag.String("out", "", "also write each artifact to <out>/<id>.txt")
 		jsonPath   = flag.String("json", "", "measure every artifact generator and write {name: {ns_per_op, allocs_per_op}} to the given file ('' = off; '-' = BENCH_harness.json)")
@@ -64,12 +75,25 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	run := func(r harness.Result, err error) {
+	run := func(e harness.Experiment) {
+		r, err := e.Run(*seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 			os.Exit(1)
 		}
 		emit(r)
+	}
+	// runID runs the experiment with the given artifact ID; an ID
+	// outside the table is a usage error.
+	runID := func(id string) {
+		for _, e := range harness.Experiments {
+			if e.ID == id {
+				run(e)
+				return
+			}
+		}
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	readCapture := func(path string) *ftdc.Data {
@@ -140,48 +164,17 @@ func main() {
 		for _, r := range results {
 			emit(r)
 		}
-	case *table == 1:
-		run(harness.Table1(*seed))
-	case *table == 2:
-		run(harness.Table2())
-	case *fig >= 1 && *fig <= 10:
-		gens := map[int]func() (harness.Result, error){
-			1:  func() (harness.Result, error) { return harness.Fig1(*seed) },
-			2:  func() (harness.Result, error) { return harness.Fig2(*seed) },
-			3:  func() (harness.Result, error) { return harness.Fig3() },
-			4:  func() (harness.Result, error) { return harness.Fig4(*seed) },
-			5:  func() (harness.Result, error) { return harness.Fig5(*seed) },
-			6:  func() (harness.Result, error) { return harness.Fig6(*seed) },
-			7:  func() (harness.Result, error) { return harness.Fig7(*seed) },
-			8:  func() (harness.Result, error) { return harness.Fig8(*seed) },
-			9:  func() (harness.Result, error) { return harness.Fig9(*seed) },
-			10: func() (harness.Result, error) { return harness.Fig10(*seed) },
-		}
-		run(gens[*fig]())
+	case *table != 0:
+		runID(fmt.Sprintf("table%d", *table))
+	case *fig != 0:
+		runID(fmt.Sprintf("fig%d", *fig))
 	case *ext != "":
-		gens := map[string]func() (harness.Result, error){
-			"placement":       func() (harness.Result, error) { return harness.XPlacement(*seed) },
-			"window":          func() (harness.Result, error) { return harness.XWindow(*seed) },
-			"attacks":         func() (harness.Result, error) { return harness.XAttacks(*seed) },
-			"energy":          func() (harness.Result, error) { return harness.XEnergy(*seed) },
-			"frameaudit":      func() (harness.Result, error) { return harness.XFrameAudit(*seed) },
-			"transfer":        func() (harness.Result, error) { return harness.XTransfer(*seed) },
-			"fuzzyvault":      func() (harness.Result, error) { return harness.XFuzzyVault(*seed) },
-			"modalities":      func() (harness.Result, error) { return harness.XModalities(*seed) },
-			"hijack":          func() (harness.Result, error) { return harness.XHijack(*seed) },
-			"imagepipeline":   func() (harness.Result, error) { return harness.XImagePipeline(*seed) },
-			"adaptation":      func() (harness.Result, error) { return harness.XAdaptation(*seed) },
-			"noise":           func() (harness.Result, error) { return harness.XNoise(*seed) },
-			"personalization": func() (harness.Result, error) { return harness.XPersonalization(*seed) },
-			"chaos":           func() (harness.Result, error) { return harness.XChaos(*seed) },
-			"streamchaos":     func() (harness.Result, error) { return harness.XStreamChaos(*seed) },
-		}
-		gen, ok := gens[*ext]
+		e, ok := exts[*ext]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "benchtab: unknown extension %q\n", *ext)
 			os.Exit(2)
 		}
-		run(gen())
+		run(e)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -303,101 +296,54 @@ type benchEntry struct {
 
 // writeBenchJSON measures every artifact generator with
 // testing.Benchmark and writes the machine-readable timing report. The
-// names mirror the Benchmark* functions in bench_test.go, so CI can
+// names are the harness.Experiments Bench names, which are also the
+// BenchmarkArtifacts sub-benchmark names in bench_test.go, so CI can
 // diff this file against `go test -bench` output.
 func writeBenchJSON(path string, seed uint64) error {
-	gens := []struct {
-		name string
-		fn   func() (harness.Result, error)
-	}{
-		{"Table1", func() (harness.Result, error) { return harness.Table1(seed) }},
-		{"Table2", func() (harness.Result, error) { return harness.Table2() }},
-		{"Fig1", func() (harness.Result, error) { return harness.Fig1(seed) }},
-		{"Fig2", func() (harness.Result, error) { return harness.Fig2(seed) }},
-		{"Fig3", func() (harness.Result, error) { return harness.Fig3() }},
-		{"Fig4", func() (harness.Result, error) { return harness.Fig4(seed) }},
-		{"Fig5", func() (harness.Result, error) { return harness.Fig5(seed) }},
-		{"Fig6", func() (harness.Result, error) { return harness.Fig6(seed) }},
-		{"Fig7", func() (harness.Result, error) { return harness.Fig7(seed) }},
-		{"Fig8", func() (harness.Result, error) { return harness.Fig8(seed) }},
-		{"Fig9", func() (harness.Result, error) { return harness.Fig9(seed) }},
-		{"Fig10", func() (harness.Result, error) { return harness.Fig10(seed) }},
-		{"Placement", func() (harness.Result, error) { return harness.XPlacement(seed) }},
-		{"WindowPolicy", func() (harness.Result, error) { return harness.XWindow(seed) }},
-		{"Attacks", func() (harness.Result, error) { return harness.XAttacks(seed) }},
-		{"Energy", func() (harness.Result, error) { return harness.XEnergy(seed) }},
-		{"FrameAudit", func() (harness.Result, error) { return harness.XFrameAudit(seed) }},
-		{"Transfer", func() (harness.Result, error) { return harness.XTransfer(seed) }},
-		{"FuzzyVault", func() (harness.Result, error) { return harness.XFuzzyVault(seed) }},
-		{"Modalities", func() (harness.Result, error) { return harness.XModalities(seed) }},
-		{"Hijack", func() (harness.Result, error) { return harness.XHijack(seed) }},
-		{"ImagePipeline", func() (harness.Result, error) { return harness.XImagePipeline(seed) }},
-		{"Adaptation", func() (harness.Result, error) { return harness.XAdaptation(seed) }},
-		{"Noise", func() (harness.Result, error) { return harness.XNoise(seed) }},
-		{"Personalization", func() (harness.Result, error) { return harness.XPersonalization(seed) }},
-		{"Chaos", func() (harness.Result, error) { return harness.XChaos(seed) }},
-		{"StreamChaos", func() (harness.Result, error) { return harness.XStreamChaos(seed) }},
-	}
 	// Fail on an unwritable path before spending minutes measuring.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
 	f.Close()
-	report := make(map[string]benchEntry, len(gens))
-	for _, g := range gens {
-		var genErr error
+	report := make(map[string]benchEntry, len(harness.Experiments)+2)
+	measure := func(name string, op func() error) error {
+		var opErr error
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.fn(); err != nil {
-					genErr = err
+				if err := op(); err != nil {
+					opErr = err
 					b.FailNow()
 				}
 			}
 		})
-		if genErr != nil {
-			return fmt.Errorf("%s: %w", g.name, genErr)
+		if opErr != nil {
+			return fmt.Errorf("%s: %w", name, opErr)
 		}
-		report[g.name] = benchEntry{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-		fmt.Fprintf(os.Stderr, "%-16s %12d ns/op %12d allocs/op\n", g.name, res.NsPerOp(), res.AllocsPerOp())
+		report[name] = benchEntry{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
+		fmt.Fprintf(os.Stderr, "%-16s %12d ns/op %12d allocs/op\n", name, res.NsPerOp(), res.AllocsPerOp())
+		return nil
+	}
+	for _, e := range harness.Experiments {
+		if err := measure(e.Bench, func() error {
+			_, err := e.Run(seed)
+			return err
+		}); err != nil {
+			return err
+		}
 	}
 	// The static-analysis sweep runs on every verify, so its cost is
-	// tracked alongside the artifact generators (BenchmarkTrustlint /
-	// BenchmarkTrustlintColdList in bench_test.go mirror these entries).
-	// TrustlintColdList drops the package-list cache each iteration —
-	// the first-run cost of a fresh process; Trustlint keeps it warm.
-	lints := []struct {
-		name string
-		cold bool
-	}{
-		{"TrustlintColdList", true},
-		{"Trustlint", false},
-	}
-	for _, l := range lints {
-		var lintErr error
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if l.cold {
-					analysis.ResetListCache()
-				}
-				findings, err := analysis.Lint(".", "./...")
-				if err != nil {
-					lintErr = err
-					b.FailNow()
-				}
-				if len(findings) > 0 {
-					lintErr = fmt.Errorf("tree has %d trustlint finding(s)", len(findings))
-					b.FailNow()
-				}
-			}
-		})
-		if lintErr != nil {
-			return fmt.Errorf("%s: %w", l.name, lintErr)
+	// tracked alongside the artifact generators (BenchmarkTrustlint in
+	// bench_test.go mirrors this entry).
+	if err := measure("Trustlint", func() error {
+		findings, err := analysis.Lint(".", "./...")
+		if err == nil && len(findings) > 0 {
+			err = fmt.Errorf("tree has %d trustlint finding(s)", len(findings))
 		}
-		report[l.name] = benchEntry{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-		fmt.Fprintf(os.Stderr, "%-16s %12d ns/op %12d allocs/op\n", l.name, res.NsPerOp(), res.AllocsPerOp())
+		return err
+	}); err != nil {
+		return err
 	}
 	// The telemetry sampling hot path: one server-sized delta row per
 	// op (mirrors BenchmarkFTDCSample in bench_test.go and

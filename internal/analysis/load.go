@@ -68,13 +68,8 @@ func NewLoader(dir string) *Loader {
 }
 
 // goList runs `go list -export -deps -test -json args...` and decodes
-// the package stream, memoizing the result per module fingerprint
-// (listcache.go) so repeated runs over an unchanged tree skip the
-// re-export entirely.
+// the package stream.
 func (l *Loader) goList(patterns []string) ([]*listPkg, error) {
-	if pkgs, ok := cachedList(l.Dir, patterns); ok {
-		return pkgs, nil
-	}
 	args := append([]string{"list", "-export", "-deps", "-test", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir
@@ -99,7 +94,6 @@ func (l *Loader) goList(patterns []string) ([]*listPkg, error) {
 		}
 		pkgs = append(pkgs, p)
 	}
-	storeList(l.Dir, patterns, pkgs)
 	return pkgs, nil
 }
 

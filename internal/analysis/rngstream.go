@@ -11,7 +11,7 @@ import (
 // parallel trial bodies (docs/sweep-engine.md rule 1): a function
 // literal handed to sim.ParMap/ParMapN/Sweep must derive its random
 // stream from its trial index (sim.TrialRNG or equivalent), never
-// capture a *sim.RNG or *sim.Clock from the enclosing scope. A shared
+// capture a *sim.RNG from the enclosing scope. A shared
 // generator consumed by concurrently scheduled trials hands out draws
 // in scheduling order, so results vary with worker count and the
 // worker=1 vs worker=N byte-identity that harness/determinism_test.go
@@ -24,7 +24,7 @@ import (
 // its own seeded stream, or draw everything before spawning.
 var RNGStream = &Analyzer{
 	Name: "rngstream",
-	Doc:  "forbid capturing *sim.RNG / *sim.Clock in sim.ParMap/Sweep trial closures and go-statement closures; derive per-goroutine streams",
+	Doc:  "forbid capturing *sim.RNG in sim.ParMap/Sweep trial closures and go-statement closures; derive per-goroutine streams",
 	Run:  runRNGStream,
 }
 
@@ -43,8 +43,8 @@ func runRNGStream(pass *Pass) {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					checkClosure(pass, lit, func(obj types.Object, kind string) string {
-						return "go-statement closure captures " + kind + " " + strconv.Quote(obj.Name()) + " from the enclosing scope: concurrent draws interleave in scheduling order; give the goroutine its own seeded stream or draw before spawning"
+					checkClosure(pass, lit, func(obj types.Object) string {
+						return "go-statement closure captures *sim.RNG " + strconv.Quote(obj.Name()) + " from the enclosing scope: concurrent draws interleave in scheduling order; give the goroutine its own seeded stream or draw before spawning"
 					})
 				}
 			case *ast.CallExpr:
@@ -63,25 +63,25 @@ func runRNGStream(pass *Pass) {
 	}
 }
 
-// checkTrialBody flags free *sim.RNG / *sim.Clock variables used inside
-// a trial closure.
+// checkTrialBody flags free *sim.RNG variables used inside a trial
+// closure.
 func checkTrialBody(pass *Pass, entry string, lit *ast.FuncLit) {
-	checkClosure(pass, lit, func(obj types.Object, kind string) string {
-		return "sim." + entry + " trial closure captures " + kind + " " + strconv.Quote(obj.Name()) + " from the enclosing scope: derive a per-trial stream (sim.TrialRNG(seed, i)) so results do not depend on worker scheduling"
+	checkClosure(pass, lit, func(obj types.Object) string {
+		return "sim." + entry + " trial closure captures *sim.RNG " + strconv.Quote(obj.Name()) + " from the enclosing scope: derive a per-trial stream (sim.TrialRNG(seed, i)) so results do not depend on worker scheduling"
 	})
 }
 
-// checkClosure flags free *sim.RNG / *sim.Clock variables used inside
-// a function literal, formatting each finding with msg.
-func checkClosure(pass *Pass, lit *ast.FuncLit, msg func(obj types.Object, kind string) string) {
+// checkClosure flags free *sim.RNG variables used inside a function
+// literal, formatting each finding with msg.
+func checkClosure(pass *Pass, lit *ast.FuncLit, msg func(obj types.Object) string) {
 	info := pass.Info()
 	reported := make(map[types.Object]bool)
-	report := func(pos interface{ Pos() token.Pos }, obj types.Object, kind string) {
+	report := func(pos interface{ Pos() token.Pos }, obj types.Object) {
 		if reported[obj] {
 			return
 		}
 		reported[obj] = true
-		pass.Reportf(pos.Pos(), "%s", msg(obj, kind))
+		pass.Reportf(pos.Pos(), "%s", msg(obj))
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -90,24 +90,20 @@ func checkClosure(pass *Pass, lit *ast.FuncLit, msg func(obj types.Object, kind 
 			if !ok || obj.IsField() || !isFree(obj, lit) {
 				return true
 			}
-			if kind, ok := streamKind(obj.Type()); ok {
-				report(n, obj, kind)
+			if simType(obj.Type(), "RNG") {
+				report(n, obj)
 			}
 		case *ast.SelectorExpr:
 			// Reaching a stream through a captured struct (h.rng) is the
 			// same bug with one more hop: flag when the selected field is
 			// a stream and the chain is rooted at a free variable.
 			sel, ok := info.Uses[n.Sel].(*types.Var)
-			if !ok || !sel.IsField() {
-				return true
-			}
-			kind, ok := streamKind(sel.Type())
-			if !ok {
+			if !ok || !sel.IsField() || !simType(sel.Type(), "RNG") {
 				return true
 			}
 			if root, ok := rootIdent(n.X); ok {
 				if obj, isVar := info.Uses[root].(*types.Var); isVar && isFree(obj, lit) {
-					report(n.Sel, sel, kind)
+					report(n.Sel, sel)
 				}
 			}
 		}
@@ -119,18 +115,6 @@ func checkClosure(pass *Pass, lit *ast.FuncLit, msg func(obj types.Object, kind 
 // i.e. the closure captures it rather than owning it.
 func isFree(obj *types.Var, lit *ast.FuncLit) bool {
 	return obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()
-}
-
-// streamKind classifies a type as one of the deterministic stream types
-// the rule protects.
-func streamKind(t types.Type) (string, bool) {
-	switch {
-	case simType(t, "RNG"):
-		return "*sim.RNG", true
-	case simType(t, "Clock"):
-		return "*sim.Clock", true
-	}
-	return "", false
 }
 
 // rootIdent returns the leftmost identifier of a selector chain.

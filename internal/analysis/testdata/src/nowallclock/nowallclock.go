@@ -1,5 +1,5 @@
 // Package nwfix exercises the nowallclock rule: wall-clock reads and
-// global randomness are banned in favour of sim.Clock / sim.RNG.
+// global randomness are banned in favour of virtual time / sim.RNG.
 package nwfix
 
 import (

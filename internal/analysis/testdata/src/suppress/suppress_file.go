@@ -1,6 +1,7 @@
 // This file allowlists the wall-clock ban file-wide — the shape a
 // _test.go timing helper uses. A directive before the package clause
 // covers every line of the file.
+//
 //trustlint:allow nowallclock
 package spfix
 

@@ -123,32 +123,44 @@ type chaosTrialOut struct {
 	capture         []byte        // per-trial FTDC bytes (capture runs only)
 }
 
-// chaosTrial builds one device+server pair, establishes a session over
-// a clean link, then runs the continuous-auth rounds over a link with
-// the given drop rate and retry budget.
-func chaosTrial(trialSeed uint64, drop float64, budget, rounds int, capture bool) (out chaosTrialOut, err error) {
+// chaosRig is one chaos trial's device and server with a session
+// already established over a clean link. Both chaos sweeps (X14 and
+// X14b) build it the same way and differ only in the transport.
+type chaosRig struct {
+	srv    *webserver.Server
+	dev    *device.Device
+	finger *fingerprint.Finger
+	now    time.Duration
+}
+
+// newChaosRig builds the trial's CA, server and enrolled module, hands
+// the server and the fault schedule's generator to link for the
+// device's transport, then registers and logs in. Establishment runs
+// over the clean link; the sweeps measure steady-state browsing, not
+// login-under-fire (XAttacks and the loadgen fault modes cover lossy
+// logins).
+func newChaosRig(trialSeed uint64, budget int, link func(srv *webserver.Server, faults *sim.RNG) device.Transport) (*chaosRig, error) {
 	ca, err := pki.NewCA("trust-root", pki.NewDeterministicRand(trialSeed^0xc4a0))
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	srv, err := webserver.New("chaos.example", ca, trialSeed^0x5e7)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
 	mod, err := flock.New(flock.DefaultConfig(pl), ca, "chaos-phone", trialSeed+5)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	// Three shared finger seeds across all trials keep the synthesis
 	// cost bounded without correlating the fault schedules.
 	finger := fingerprint.Synthesize(9000+trialSeed%3, fingerprint.PatternType(trialSeed%3))
 	if err := mod.Enroll(fingerprint.NewTemplate(finger)); err != nil {
-		return out, err
+		return nil, err
 	}
 
-	ft := device.NewFaultyTransport(&device.InMemory{Server: srv}, device.FaultProfile{}, sim.NewRNG(trialSeed^0xfa01))
-	dev := device.New("chaos-phone", mod, ft)
+	dev := device.New("chaos-phone", mod, link(srv, sim.NewRNG(trialSeed^0xfa01)))
 	dev.SetRetryPolicy(device.RetryPolicy{
 		MaxAttempts: budget,
 		BaseDelay:   50 * time.Millisecond,
@@ -156,33 +168,47 @@ func chaosTrial(trialSeed uint64, drop float64, budget, rounds int, capture bool
 		JitterFrac:  0.2,
 	}, sim.NewRNG(trialSeed^0xfa02))
 
-	now := time.Duration(0)
-	verify := func() error {
-		for a := 0; a < 40; a++ {
-			ev := touch.Event{At: now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			if dev.Touch(ev, finger).Kind == flock.Matched {
-				return nil
-			}
-			now += 400 * time.Millisecond
-		}
-		return fmt.Errorf("harness: chaos device never touch-verified")
+	r := &chaosRig{srv: srv, dev: dev, finger: finger}
+	if err := r.verify(); err != nil {
+		return nil, err
 	}
+	if err := dev.Register(r.now, "chaos-acct", "recovery-pw"); err != nil {
+		return nil, err
+	}
+	if err := r.verify(); err != nil {
+		return nil, err
+	}
+	if err := dev.Login(r.now, srv.Certificate(), "chaos-acct"); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
 
-	// Session establishment runs over the clean link; the sweep
-	// measures steady-state browsing, not login-under-fire (XAttacks
-	// and the loadgen fault mode cover lossy logins).
-	if err := verify(); err != nil {
+// verify touches the sensor until a capture matches, advancing the
+// rig's virtual time 400 ms per miss.
+func (r *chaosRig) verify() error {
+	for a := 0; a < 40; a++ {
+		ev := touch.Event{At: r.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
+		if r.dev.Touch(ev, r.finger).Kind == flock.Matched {
+			return nil
+		}
+		r.now += 400 * time.Millisecond
+	}
+	return fmt.Errorf("harness: chaos device never touch-verified")
+}
+
+// chaosTrial runs the continuous-auth rounds over an in-memory link
+// with the given drop rate and retry budget.
+func chaosTrial(trialSeed uint64, drop float64, budget, rounds int, capture bool) (out chaosTrialOut, err error) {
+	var ft *device.FaultyTransport
+	r, err := newChaosRig(trialSeed, budget, func(srv *webserver.Server, faults *sim.RNG) device.Transport {
+		ft = device.NewFaultyTransport(&device.InMemory{Server: srv}, device.FaultProfile{}, faults)
+		return ft
+	})
+	if err != nil {
 		return out, err
 	}
-	if err := dev.Register(now, "chaos-acct", "recovery-pw"); err != nil {
-		return out, err
-	}
-	if err := verify(); err != nil {
-		return out, err
-	}
-	if err := dev.Login(now, srv.Certificate(), "chaos-acct"); err != nil {
-		return out, err
-	}
+	srv, dev := r.srv, r.dev
 
 	// Telemetry capture: one sample of the combined server+device row
 	// per browsing round, on the trial's own virtual clock. The schema
@@ -203,12 +229,12 @@ func chaosTrial(trialSeed uint64, drop float64, budget, rounds int, capture bool
 	}
 
 	ft.Profile = device.FaultProfile{DropRate: drop}
-	for r := 0; r < rounds; r++ {
-		if err := verify(); err != nil {
+	for i := 0; i < rounds; i++ {
+		if err := r.verify(); err != nil {
 			return out, err
 		}
 		callsBefore := ft.Stats.Calls
-		after, err := dev.BrowseResilient(now, fmt.Sprintf("page-%d", r%4))
+		after, err := dev.BrowseResilient(r.now, fmt.Sprintf("page-%d", i%4))
 		if err != nil {
 			out.failed = true
 			break
@@ -222,11 +248,11 @@ func chaosTrial(trialSeed uint64, drop float64, budget, rounds int, capture bool
 			out.acked++
 			if deliveries > 1 {
 				out.recovered++
-				out.recovery += after - now
+				out.recovery += after - r.now
 			}
 		}
-		now = after
-		sample(now)
+		r.now = after
+		sample(r.now)
 	}
 	if capt != nil {
 		out.capture = append([]byte(nil), capt.Bytes()...)

@@ -16,9 +16,6 @@ import (
 	"trust/internal/device"
 	"trust/internal/fingerprint"
 	"trust/internal/flock"
-	"trust/internal/geom"
-	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/protocol"
 	"trust/internal/sim"
 	"trust/internal/touch"
@@ -184,20 +181,5 @@ func fmtTable(header []string, rows [][]string) string {
 	return sb.String()
 }
 
-// standardPlacement exposes the optimized placement (used by docs and
-// the placement example).
-func standardPlacement(seed uint64) (placement.Placement, geom.Rect, error) {
-	w, err := core.NewWorld(seed)
-	if err != nil {
-		return placement.Placement{}, geom.Rect{}, err
-	}
-	return w.Place, w.Screen, nil
-}
-
 // panelConfig is the shared touchscreen config.
 func panelConfig() touchscreen.Config { return touchscreen.DefaultConfig() }
-
-// newCA is a tiny helper for experiments needing standalone PKI.
-func newCA(seed uint64) (*pki.CA, error) {
-	return pki.NewCA("trust-root", pki.NewDeterministicRand(seed))
-}

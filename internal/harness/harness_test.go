@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -469,13 +470,44 @@ func TestAllResultsComplete(t *testing.T) {
 		t.Fatalf("%d artifacts, want 27 (2 tables + 10 figures + 15 extensions)", len(results))
 	}
 	seen := map[string]bool{}
-	for _, r := range results {
+	for i, r := range results {
 		if r.ID == "" || r.Title == "" || r.Text == "" {
 			t.Errorf("artifact %q incomplete", r.ID)
+		}
+		if r.ID != Experiments[i].ID {
+			t.Errorf("Experiments[%d] is %q but its generator returned %q", i, Experiments[i].ID, r.ID)
 		}
 		if seen[r.ID] {
 			t.Errorf("duplicate artifact id %q", r.ID)
 		}
 		seen[r.ID] = true
+	}
+}
+
+// TestExperimentsMatchArtifacts pins the experiment table to the
+// committed artifacts: every entry has an artifacts/<ID>.txt, and no
+// artifact file lacks an entry.
+func TestExperimentsMatchArtifacts(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "artifacts", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := map[string]bool{}
+	for _, f := range files {
+		committed[strings.TrimSuffix(filepath.Base(f), ".txt")] = true
+	}
+	benches := map[string]bool{}
+	for _, e := range Experiments {
+		if !committed[e.ID] {
+			t.Errorf("experiment %q has no artifacts/%s.txt", e.ID, e.ID)
+		}
+		delete(committed, e.ID)
+		if e.Bench == "" || benches[e.Bench] {
+			t.Errorf("experiment %q: bench name %q empty or duplicated", e.ID, e.Bench)
+		}
+		benches[e.Bench] = true
+	}
+	for id := range committed {
+		t.Errorf("artifacts/%s.txt has no experiment entry", id)
 	}
 }

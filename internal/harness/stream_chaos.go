@@ -7,13 +7,7 @@ import (
 	"time"
 
 	"trust/internal/device"
-	"trust/internal/fingerprint"
-	"trust/internal/flock"
-	"trust/internal/geom"
-	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/sim"
-	"trust/internal/touch"
 	"trust/internal/webserver"
 )
 
@@ -117,77 +111,37 @@ type streamChaosOut struct {
 // cuts and torn writes, then a healed-link browse that must find the
 // session alive.
 func streamChaosTrial(trialSeed uint64, cut float64, budget, rounds int) (out streamChaosOut, err error) {
-	ca, err := pki.NewCA("trust-root", pki.NewDeterministicRand(trialSeed^0xc4a0))
-	if err != nil {
-		return out, err
-	}
-	srv, err := webserver.New("chaos.example", ca, trialSeed^0x5e7)
-	if err != nil {
-		return out, err
-	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "chaos-phone", trialSeed+5)
-	if err != nil {
-		return out, err
-	}
-	finger := fingerprint.Synthesize(9000+trialSeed%3, fingerprint.PatternType(trialSeed%3))
-	if err := mod.Enroll(fingerprint.NewTemplate(finger)); err != nil {
-		return out, err
-	}
-
-	dial := func() (io.ReadWriteCloser, error) {
-		c1, c2 := net.Pipe()
-		go func() { _ = srv.ServeStream(c2) }()
-		return c1, nil
-	}
-	fd := device.NewFaultyDialer(dial, device.StreamFaultProfile{}, sim.NewRNG(trialSeed^0xfa01))
-	st := &device.Stream{Dial: fd.Dial, Fallback: &device.InMemory{Server: srv}}
-	dev := device.New("chaos-phone", mod, st)
-	dev.SetRetryPolicy(device.RetryPolicy{
-		MaxAttempts: budget,
-		BaseDelay:   50 * time.Millisecond,
-		MaxDelay:    800 * time.Millisecond,
-		JitterFrac:  0.2,
-	}, sim.NewRNG(trialSeed^0xfa02))
-
-	now := time.Duration(0)
-	verify := func() error {
-		for a := 0; a < 40; a++ {
-			ev := touch.Event{At: now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			if dev.Touch(ev, finger).Kind == flock.Matched {
-				return nil
-			}
-			now += 400 * time.Millisecond
+	var (
+		fd *device.FaultyDialer
+		st *device.Stream
+	)
+	// The hello goes out whole even in lossy rounds (HandshakeGrace), so
+	// the sweep measures an established stream degrading.
+	r, err := newChaosRig(trialSeed, budget, func(srv *webserver.Server, faults *sim.RNG) device.Transport {
+		dial := func() (io.ReadWriteCloser, error) {
+			c1, c2 := net.Pipe()
+			go func() { _ = srv.ServeStream(c2) }()
+			return c1, nil
 		}
-		return fmt.Errorf("harness: stream chaos device never touch-verified")
-	}
-
-	// Enrollment and login over the clean link; the hello goes out whole
-	// even in lossy rounds (HandshakeGrace), so the sweep measures an
-	// established stream degrading, not login-under-fire.
-	if err := verify(); err != nil {
+		fd = device.NewFaultyDialer(dial, device.StreamFaultProfile{}, faults)
+		st = &device.Stream{Dial: fd.Dial, Fallback: &device.InMemory{Server: srv}}
+		return st
+	})
+	if err != nil {
 		return out, err
 	}
-	if err := dev.Register(now, "chaos-acct", "recovery-pw"); err != nil {
-		return out, err
-	}
-	if err := verify(); err != nil {
-		return out, err
-	}
-	if err := dev.Login(now, srv.Certificate(), "chaos-acct"); err != nil {
-		return out, err
-	}
+	dev := r.dev
 	if !st.Streaming() {
 		return out, fmt.Errorf("harness: stream chaos device not streaming after login")
 	}
 
 	fd.Profile = device.StreamFaultProfile{CutRate: cut, TearRate: 0.25 * minf(1, cut*4), HandshakeGrace: 1}
-	for r := 0; r < rounds; r++ {
-		if err := verify(); err != nil {
+	for i := 0; i < rounds; i++ {
+		if err := r.verify(); err != nil {
 			return out, err
 		}
 		redialsBefore := st.Stats().Redials
-		after, err := dev.BrowseResilient(now, fmt.Sprintf("page-%d", r%4))
+		after, err := dev.BrowseResilient(r.now, fmt.Sprintf("page-%d", i%4))
 		if err != nil {
 			break
 		}
@@ -200,10 +154,10 @@ func streamChaosTrial(trialSeed uint64, cut float64, budget, rounds int) (out st
 			out.acked++
 			if redials > 0 {
 				out.recovered++
-				out.recovery += after - now
+				out.recovery += after - r.now
 			}
 		}
-		now = after
+		r.now = after
 	}
 	out.cuts = fd.Stats.Cuts
 	out.tears = fd.Stats.Tears
@@ -212,14 +166,11 @@ func streamChaosTrial(trialSeed uint64, cut float64, budget, rounds int) (out st
 	// must have survived server-side: one resilient browse over the
 	// clean stream has to come back acked.
 	fd.Profile = device.StreamFaultProfile{}
-	if err := verify(); err != nil {
+	if err := r.verify(); err != nil {
 		return out, err
 	}
-	after, err := dev.BrowseResilient(now, "home")
-	if err != nil || dev.Degraded() {
+	if _, err := dev.BrowseResilient(r.now, "home"); err != nil || dev.Degraded() {
 		out.lost = 1
-	} else {
-		now = after
 	}
 	_ = st.Close()
 	return out, nil

@@ -1,3 +1,9 @@
+// Package sim provides the deterministic simulation substrate used by
+// every other package in this repository: a seeded deterministic random
+// number generator, the parallel sweep engine that derives one stream
+// per trial, and an energy meter. Virtual time is carried as plain
+// time.Duration values by the packages that model it, never read from
+// the wall clock, so runs are exactly reproducible.
 package sim
 
 import "math"

@@ -167,19 +167,6 @@ func CompareTableI(sessions int, integratedCoverage float64, integratedLogin tim
 // were produced with.
 const DefaultExperimentSeed = harness.Seed
 
-// RunLocalSessionOnClock is the event-driven variant of
-// RunLocalSession: touches are scheduled on a sim.Clock, composing with
-// other clock-driven activity.
-func RunLocalSessionOnClock(clock *sim.Clock, d *LocalDevice, s *touch.Session, owner, impostor *Finger, impostorStart int) (SessionReport, error) {
-	return core.RunLocalSessionOnClock(clock, d, s, owner, impostor, impostorStart)
-}
-
-// NewClock returns a fresh virtual clock for event-driven simulations.
-func NewClock() *sim.Clock { return sim.NewClock() }
-
-// Clock is the deterministic discrete-event clock.
-type Clock = sim.Clock
-
 // ExtractMinutiae runs the image-based CV extraction pipeline
 // (smoothing, thinning, crossing-number detection) on a sensor bit
 // image; pitchMM is millimetres per pixel.
