@@ -363,27 +363,28 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 	// touch point, parallel row addressing (the Fig 4 design). The
 	// image pipeline scans the whole patch instead: the CV matcher
 	// needs every ridge the contact left on the sensor, and an 8 mm
-	// patch is already the size of one selective window.
+	// patch is already the size of one selective window. The
+	// statistical model never reads the bit image, so it only pays the
+	// readout's timing and energy.
 	fingertipCenter := finger.Bounds().Center().Add(ev.FingerOffsetMM)
-	// The rotation's sincos is hoisted out of the per-cell closure: the
-	// sensor evaluates the field once per cell, and a Sincos per cell
-	// was a measurable slice of the whole-scan cost.
-	sinR, cosR := math.Sincos(-ev.FingerRotation)
-	field := func(p geom.Point) float64 {
-		// Sensor frame -> finger frame: translate so the contact point
-		// maps to the fingertip contact centre, then rotate.
-		d := p.Sub(sensorMM)
-		rel := geom.Point{X: d.X*cosR - d.Y*sinR, Y: d.X*sinR + d.Y*cosR}
-		return finger.RidgeValue(fingertipCenter.Add(rel))
-	}
-	region := arr.RegionAround(sensorMM, ev.RadiusMM)
+	opts := sensor.ScanOptions{Addressing: sensor.ParallelRow, Transfer: sensor.SelectiveTransfer}
+	var scanRes sensor.ScanResult
 	if m.cfg.UseImagePipeline {
-		region = arr.FullRegion()
+		// The rotation's sincos is hoisted out of the per-cell closure:
+		// the sensor evaluates the field once per cell, and a Sincos per
+		// cell was a measurable slice of the whole-scan cost.
+		sinR, cosR := math.Sincos(-ev.FingerRotation)
+		field := func(p geom.Point) float64 {
+			// Sensor frame -> finger frame: translate so the contact
+			// point maps to the fingertip contact centre, then rotate.
+			d := p.Sub(sensorMM)
+			rel := geom.Point{X: d.X*cosR - d.Y*sinR, Y: d.X*sinR + d.Y*cosR}
+			return finger.RidgeValue(fingertipCenter.Add(rel))
+		}
+		scanRes = arr.Scan(field, arr.FullRegion(), opts)
+	} else {
+		scanRes = arr.Timing(arr.RegionAround(sensorMM, ev.RadiusMM), opts)
 	}
-	scanRes := arr.Scan(field, region, sensor.ScanOptions{
-		Addressing: sensor.ParallelRow,
-		Transfer:   sensor.SelectiveTransfer,
-	})
 	out.SensorScan = scanRes.Elapsed
 	m.energy.AddEvent("fingerprint-sensor", scanRes.Energy)
 	out.EnergySpent += scanRes.Energy
@@ -401,7 +402,7 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 		Rotation: ev.FingerRotation,
 	}
 	var cap *fingerprint.Capture
-	if m.cfg.UseImagePipeline && scanRes.Bits != nil {
+	if m.cfg.UseImagePipeline {
 		cap = m.imageCapture(contact, scanRes)
 	} else {
 		cap = fingerprint.Acquire(finger, contact, m.rng)
@@ -518,12 +519,13 @@ func (m *Module) DisplayFrame(frameBytes []byte) (frame.Hash, time.Duration) {
 // IdleSensorEnergy charges the cost of keeping all sensors fully
 // powered for d — the always-on strawman of experiment X4. The paper's
 // design instead leaves sensors idle until the touchscreen reports a
-// touch.
+// touch. It prices full-array readouts with Timing, so it draws nothing
+// from the sensors' noise streams.
 func (m *Module) IdleSensorEnergy(d time.Duration) sim.Joule {
 	// An always-on sensor rescans continuously; energy = scans that fit
 	// in d times full-scan energy.
 	arr := m.arrays[0]
-	full := arr.Scan(func(geom.Point) float64 { return 0 }, arr.FullRegion(), sensor.ScanOptions{})
+	full := arr.Timing(arr.FullRegion(), sensor.ScanOptions{})
 	if full.Elapsed <= 0 {
 		return 0
 	}

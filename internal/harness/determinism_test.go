@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"trust/internal/ftdc"
@@ -11,38 +13,26 @@ import (
 
 // TestSweptExperimentsWorkerCountInvariant is the determinism contract
 // of the sweep engine (docs/sweep-engine.md) applied end to end: every
-// experiment that fans its trials out through sim.ParMap must produce
-// a byte-identical artifact and identical metrics whether it runs on
-// one worker or many.
+// experiment must produce a byte-identical artifact and identical
+// metrics whether it runs on one worker or many. It walks the whole
+// Experiments table, so an experiment that starts fanning its trials
+// out through sim.ParMap is checked without being listed here; the
+// ones that never fan out pass trivially and cheaply.
 func TestSweptExperimentsWorkerCountInvariant(t *testing.T) {
 	// Force a genuinely concurrent pool even on single-core CI
 	// machines, where GOMAXPROCS would collapse the parallel run back
 	// to one worker and the test would assert nothing.
 	workers := max(runtime.GOMAXPROCS(0), 8)
-	exps := []struct {
-		name string
-		fn   func(uint64) (Result, error)
-	}{
-		{"XWindow", XWindow},
-		{"XNoise", XNoise},
-		{"XEnergy", XEnergy},
-		{"XImagePipeline", XImagePipeline},
-		{"XAttacks", XAttacks},
-		{"XFuzzyVault", XFuzzyVault},
-		{"XChaos", XChaos},
-		{"XStreamChaos", XStreamChaos},
-		{"Fig6", Fig6},
-	}
-	for _, e := range exps {
-		t.Run(e.name, func(t *testing.T) {
+	for _, e := range Experiments {
+		t.Run(generatorName(e), func(t *testing.T) {
 			prev := sim.SetMaxWorkers(1)
 			defer sim.SetMaxWorkers(prev)
-			serial, err := e.fn(Seed)
+			serial, err := e.Run(Seed)
 			if err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
 			sim.SetMaxWorkers(workers)
-			parallel, err := e.fn(Seed)
+			parallel, err := e.Run(Seed)
 			if err != nil {
 				t.Fatalf("parallel run (%d workers): %v", workers, err)
 			}
@@ -65,6 +55,18 @@ func TestSweptExperimentsWorkerCountInvariant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// generatorName names an experiment by its generator function
+// ("XWindow", "Fig6"), falling back to its Bench name for the wrappers
+// around generators that take no seed.
+func generatorName(e Experiment) string {
+	name := runtime.FuncForPC(reflect.ValueOf(e.Run).Pointer()).Name()
+	name = name[strings.LastIndexByte(name, '.')+1:]
+	if strings.HasPrefix(name, "func") {
+		return e.Bench
+	}
+	return name
 }
 
 // TestXChaosCaptureByteIdentical is the determinism contract extended

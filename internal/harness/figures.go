@@ -151,7 +151,6 @@ func Fig4(seed uint64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	field := func(geom.Point) float64 { return 0.5 }
 	// A fingertip core covers ~2 mm of usable ridge detail around the
 	// touch point; the controller addresses just that window, which is
 	// what makes selective transfer pay off on an 8 mm patch.
@@ -171,8 +170,8 @@ func Fig4(seed uint64) (Result, error) {
 	metrics := map[string]float64{}
 	var strawman, design time.Duration
 	for _, c := range combos {
-		tr := arr.Scan(field, touchRegion, c.opts)
-		fr := arr.Scan(field, arr.FullRegion(), c.opts)
+		tr := arr.Timing(touchRegion, c.opts)
+		fr := arr.Timing(arr.FullRegion(), c.opts)
 		rows = append(rows, []string{
 			c.name,
 			tr.Elapsed.Round(time.Microsecond).String(),

@@ -75,7 +75,8 @@ type ScanOptions struct {
 }
 
 // ScanResult is one completed scan: the binarized image plus exact
-// cycle accounting.
+// cycle accounting. Bits is nil for a Timing result and for an empty
+// region.
 type ScanResult struct {
 	Bits      *BitImage
 	Region    Region
@@ -150,9 +151,10 @@ func (a *Array) RegionAround(center geom.Point, radiusMM float64) Region {
 }
 
 // Scan images the field over the region with the selected readout
-// architecture and returns the bit image plus cycle-exact timing.
+// architecture and returns the bit image plus cycle-exact timing: the
+// sensing, then Timing's accounting.
 func (a *Array) Scan(field Field, region Region, opts ScanOptions) ScanResult {
-	res := ScanResult{Region: region}
+	res := a.Timing(region, opts)
 	if region.Empty() {
 		return res
 	}
@@ -171,6 +173,20 @@ func (a *Array) Scan(field Field, region Region, opts ScanOptions) ScanResult {
 				res.Bits.Set(c-region.Col0, r-region.Row0)
 			}
 		}
+	}
+	return res
+}
+
+// Timing is Scan without the sensing: the cycle, elapsed-time,
+// cell, bit-transfer and energy accounting for reading the region,
+// which depend only on its size and the readout architecture. Bits is
+// nil and no comparator noise is drawn, so callers that never read the
+// image (the statistical capture model, response and energy figures)
+// pay nothing per cell and leave the array's noise stream untouched.
+func (a *Array) Timing(region Region, opts ScanOptions) ScanResult {
+	res := ScanResult{Region: region}
+	if region.Empty() {
+		return res
 	}
 	res.CellsRead = region.Rows() * region.Cols()
 
@@ -208,7 +224,7 @@ func (a *Array) Scan(field Field, region Region, opts ScanOptions) ScanResult {
 // full scan selective and full coincide). This is the quantity Table II
 // reports.
 func (a *Array) ResponseFullScan() time.Duration {
-	return a.Scan(func(geom.Point) float64 { return 0 }, a.FullRegion(), ScanOptions{
+	return a.Timing(a.FullRegion(), ScanOptions{
 		Addressing: ParallelRow,
 		Transfer:   SelectiveTransfer,
 	}).Elapsed

@@ -241,3 +241,57 @@ func TestFullScanUnderTouchDwell(t *testing.T) {
 		t.Fatalf("FLock full scan %v exceeds touch dwell budget", resp)
 	}
 }
+
+func TestTimingIsScanWithoutBits(t *testing.T) {
+	a := mustArray(t, FLockConfig())
+	field := func(p geom.Point) float64 { return math.Cos(p.X * 14) }
+	regions := []struct {
+		name   string
+		region Region
+	}{
+		{"empty", Region{}},
+		{"inverted", Region{Row0: 5, Row1: 2, Col0: 1, Col1: 9}},
+		{"clipped", a.RegionAround(geom.Point{X: 0.2, Y: 0.2}, 3)},
+		{"window", a.RegionAround(geom.Point{X: 4, Y: 4}, 2)},
+		{"full", a.FullRegion()},
+	}
+	for _, addr := range []AddressingMode{ParallelRow, SerialCell} {
+		for _, tr := range []TransferMode{SelectiveTransfer, FullTransfer} {
+			opts := ScanOptions{Addressing: addr, Transfer: tr}
+			for _, rc := range regions {
+				scan := a.Scan(field, rc.region, opts)
+				if !rc.region.Empty() && scan.Bits == nil {
+					t.Fatalf("%s %v/%v: Scan returned no image", rc.name, addr, tr)
+				}
+				scan.Bits = nil
+				if got := a.Timing(rc.region, opts); got != scan {
+					t.Errorf("%s %v/%v: Timing %+v, Scan %+v", rc.name, addr, tr, got, scan)
+				}
+			}
+		}
+	}
+}
+
+func TestTimingDrawsNoNoise(t *testing.T) {
+	cfg := FLockConfig()
+	field := func(p geom.Point) float64 { return math.Sin(p.X * 3) }
+	timed, _ := New(cfg, sim.NewRNG(9))
+	fresh, _ := New(cfg, sim.NewRNG(9))
+	for _, opts := range []ScanOptions{{}, {Addressing: SerialCell, Transfer: FullTransfer}} {
+		timed.Timing(timed.FullRegion(), opts)
+		timed.Timing(timed.RegionAround(geom.Point{X: 4, Y: 4}, 2), opts)
+	}
+	got := timed.Scan(field, timed.FullRegion(), ScanOptions{})
+	want := fresh.Scan(field, fresh.FullRegion(), ScanOptions{})
+	if got.Bits.ASCII(1) != want.Bits.ASCII(1) {
+		t.Fatal("Scan after Timing differs from Scan on a fresh array: Timing consumed noise")
+	}
+}
+
+func TestTimingZeroAlloc(t *testing.T) {
+	a := mustArray(t, FLockConfig())
+	region := a.RegionAround(geom.Point{X: 4, Y: 4}, 2)
+	if allocs := testing.AllocsPerRun(100, func() { a.Timing(region, ScanOptions{}) }); allocs != 0 {
+		t.Fatalf("Timing allocates %.1f times per call, want 0", allocs)
+	}
+}

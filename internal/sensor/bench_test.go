@@ -46,3 +46,22 @@ func BenchmarkBitImageOnes(b *testing.B) {
 		img.Ones()
 	}
 }
+
+// timingSink keeps BenchmarkTiming's inlined call from being
+// eliminated.
+var timingSink ScanResult
+
+// BenchmarkTiming measures the readout accounting alone, which is all
+// the statistical capture path pays per touch.
+func BenchmarkTiming(b *testing.B) {
+	arr, err := New(FLockConfig(), sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	region := arr.RegionAround(geom.Point{X: 4, Y: 4}, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		timingSink = arr.Timing(region, ScanOptions{})
+	}
+}

@@ -8,6 +8,9 @@
 //
 // All timing is derived from the configured clock, cycle for cycle, so
 // Table II's response column can be regenerated rather than asserted.
+// Array.Scan senses each cell into a bit image and adds that timing;
+// Array.Timing is the timing alone, for callers that never read the
+// image, such as FLock's statistical capture path.
 package sensor
 
 import (

@@ -160,3 +160,13 @@ func TestDeterministicWithSeed(t *testing.T) {
 		}
 	}
 }
+
+func TestMutualSenseAllocs(t *testing.T) {
+	// The intersection grid is panel scratch; a single-contact scan
+	// allocates only the reported touch slice.
+	p := New(DefaultConfig(), sim.NewRNG(3))
+	contacts := []Contact{press(240, 400)}
+	if allocs := testing.AllocsPerRun(100, func() { p.Sense(contacts) }); allocs > 1 {
+		t.Fatalf("single-contact mutual Sense allocates %.1f times, want <= 1", allocs)
+	}
+}
